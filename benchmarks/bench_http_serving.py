@@ -5,7 +5,7 @@ distinct query asked ``REPEATS`` times by its own client session) served
 three ways:
 
 * **in-process baseline** — ``serve_many``: the asyncio tier with
-  batching/coalescing, no sockets (the PR-6 deployment);
+  in-flight coalescing, no sockets;
 * **HTTP, 1/2/4 workers** — :class:`~repro.net.MultiprocHTTPServer` behind
   one port, one keep-alive :class:`~repro.net.BlowfishClient` per client
   session on its own thread, budget truth in a shared SQLite ledger.

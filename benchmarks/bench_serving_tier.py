@@ -9,7 +9,7 @@ shared SQLite budget ledger) served four ways:
   handled one by one (the pre-tier deployment);
 * **1/2/4 workers** — :class:`ShardedServiceRunner`: session-sharded
   worker processes over one SQLite ledger file, each worker fronted by
-  the batching/coalescing :class:`AsyncBlowfishService`.
+  the coalescing :class:`AsyncBlowfishService`.
 
 Claims asserted:
 

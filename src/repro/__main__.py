@@ -29,7 +29,7 @@ Subcommands:
     ``"demo"`` dataset until EOF.  With ``--workers N`` it instead serves
     a deterministic mixed request stream across ``N`` service processes
     (session-sharded, budget truth in a shared SQLite ledger, each worker
-    fronted by the batching/coalescing async tier) and prints throughput,
+    fronted by the coalescing async tier) and prints throughput,
     latency quantiles and the per-tenant ledger totals.
 
 ``serve [--host H] [--port P] [--workers N] [--max-inflight M]``
@@ -239,7 +239,7 @@ def _cmd_serve_demo_workers(args: argparse.Namespace) -> int:
         )
         print(
             f"async tier: {stats.get('executed', 0)} executed, "
-            f"{stats.get('coalesced', 0)} coalesced, {stats.get('batches', 0)} batches"
+            f"{stats.get('coalesced', 0)} coalesced"
         )
         ledger = SQLiteLedgerStore(ledger_path)
         try:

@@ -20,8 +20,8 @@ queries answered under it — first-class *data*:
 * **serving tier** — :mod:`repro.api.striping` (key-hash striped LRU maps
   behind every service-level cache), :mod:`repro.api.ledger` (pluggable
   budget-ledger stores: in-memory default, SQLite for cross-process
-  truth), :mod:`repro.api.async_service` (asyncio façade with request
-  batching and in-flight coalescing) and :mod:`repro.api.workers`
+  truth), :mod:`repro.api.async_service` (asyncio façade with in-flight
+  coalescing) and :mod:`repro.api.workers`
   (session-sharded multi-process runner).
 
 End to end::

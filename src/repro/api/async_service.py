@@ -18,11 +18,12 @@ interchangeable:
   are never coalesced: two unseeded answers are two different noise draws
   and must stay that way.
 
-* **Batching.**  Requests are drained from the queue in small batches and
-  each batch is handed to one worker thread, amortizing executor and
-  scheduling overhead across requests and keeping the event loop free for
-  intake while NumPy-heavy work runs in the pool (which releases the GIL
-  for the array parts).
+* **Concurrent dispatch.**  Every request that does not join an
+  in-flight execution is handed straight to the thread pool as its own
+  job and resolves its own future when that job finishes: nothing waits
+  for a batch to fill or for a neighbour's request to finish first.  The
+  event loop stays free for intake while NumPy-heavy work runs in the
+  pool (which releases the GIL for the array parts).
 
 Coalesced waiters share the *same response object* as the execution they
 joined; responses are treated as immutable everywhere in this codebase, so
@@ -41,10 +42,10 @@ or, from synchronous code, :func:`serve_many`.
 from __future__ import annotations
 
 import asyncio
+import functools
 import hashlib
 import json
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import suppress
 
 from .. import obs
 from .service import BlowfishService
@@ -73,51 +74,29 @@ class ServiceDraining(RuntimeError):
 
 
 class AsyncBlowfishService:
-    """Asyncio front end: batching + in-flight coalescing over a sync service.
+    """Asyncio front end: in-flight coalescing over a sync service.
 
     Parameters
     ----------
     service:
         The :class:`BlowfishService` to front; a fresh one by default.
     max_workers:
-        Thread-pool width for executing batches.  The sync service is
-        thread-safe, so batches run concurrently up to this bound.
-    batch_window:
-        How long (seconds) the dispatcher waits to top up a batch after
-        its first request arrives.  Zero still batches whatever is already
-        queued — it just never waits for stragglers.
-    max_batch:
-        Requests per batch; one batch occupies one pool thread.
+        Thread-pool width.  The sync service is thread-safe, so up to this
+        many requests execute concurrently, one pool thread each.
     """
 
-    def __init__(
-        self,
-        service: BlowfishService | None = None,
-        *,
-        max_workers: int = 4,
-        batch_window: float = 0.002,
-        max_batch: int = 16,
-    ):
+    def __init__(self, service: BlowfishService | None = None, *, max_workers: int = 4):
         if max_workers <= 0:
             raise ValueError("max_workers must be positive")
-        if max_batch <= 0:
-            raise ValueError("max_batch must be positive")
-        if batch_window < 0:
-            raise ValueError("batch_window must be non-negative")
         self.service = service if service is not None else BlowfishService()
         self.max_workers = max_workers
-        self.batch_window = float(batch_window)
-        self.max_batch = int(max_batch)
         self._executor = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="blowfish-tier"
         )
-        self._queue: asyncio.Queue | None = None
-        self._dispatcher: asyncio.Task | None = None
-        self._batch_tasks: set[asyncio.Task] = set()
         self._inflight: dict[str, asyncio.Future] = {}
         self._pending: set[asyncio.Future] = set()
         self._draining = False
-        self._stats = {"received": 0, "coalesced": 0, "executed": 0, "batches": 0}
+        self._stats = {"received": 0, "coalesced": 0, "executed": 0}
 
     # -- coalescing identity ---------------------------------------------------------
     @staticmethod
@@ -179,77 +158,35 @@ class AsyncBlowfishService:
         future: asyncio.Future = loop.create_future()
         if digest is not None:
             self._inflight[digest] = future
-        self._pending.add(future)
-        future.add_done_callback(self._pending.discard)
-        if self._queue is None:
-            self._queue = asyncio.Queue()
-        self._queue.put_nowait((request, future, digest))
-        if self._dispatcher is None or self._dispatcher.done():
-            self._dispatcher = loop.create_task(self._dispatch())
+        execution = loop.run_in_executor(self._executor, self.service.handle, request)
+        self._pending.add(execution)
+        execution.add_done_callback(functools.partial(self._settle, future, digest))
         return await future
 
     async def handle_many(self, requests) -> list[dict]:
         """Serve a request collection concurrently, preserving order."""
         return list(await asyncio.gather(*(self.handle(r) for r in requests)))
 
-    async def _dispatch(self) -> None:
-        """Collect queued requests into batches and fan them to the pool."""
-        loop = asyncio.get_running_loop()
-        queue = self._queue
-        while True:
-            batch = [await queue.get()]
-            deadline = loop.time() + self.batch_window
-            while len(batch) < self.max_batch:
-                if not queue.empty():
-                    batch.append(queue.get_nowait())
-                    continue
-                wait = deadline - loop.time()
-                if wait <= 0:
-                    break
-                try:
-                    batch.append(await asyncio.wait_for(queue.get(), wait))
-                except asyncio.TimeoutError:
-                    break
-            self._stats["batches"] += 1
-            reg = obs.metrics()
-            reg.counter("async_batches_total").inc()
-            reg.histogram(
-                "async_batch_size",
-                buckets=(1, 2, 4, 8, 16, 32, 64),
-            ).observe(len(batch))
-            task = loop.create_task(self._run_batch(batch))
-            # strong ref until done, else the loop may GC a running batch
-            self._batch_tasks.add(task)
-            task.add_done_callback(self._batch_tasks.discard)
-
-    async def _run_batch(self, batch: list) -> None:
-        def work():
-            results = []
-            for request, _future, _digest in batch:
-                try:
-                    results.append((True, self.service.handle(request)))
-                except BaseException as exc:  # propagated to the awaiting caller
-                    results.append((False, exc))
-            return results
-
-        results = await asyncio.get_running_loop().run_in_executor(
-            self._executor, work
-        )
-        self._stats["executed"] += len(batch)
-        obs.metrics().counter("async_requests_total", outcome="executed").inc(len(batch))
-        for (request, future, digest), (ok, value) in zip(batch, results):
-            if digest is not None and self._inflight.get(digest) is future:
-                del self._inflight[digest]
-            if future.cancelled():
-                continue
-            if ok:
-                future.set_result(value)
-            else:
-                future.set_exception(value)
+    def _settle(
+        self, future: asyncio.Future, digest: str | None, execution: asyncio.Future
+    ) -> None:
+        """Hand a finished execution's outcome to the future its waiters await."""
+        self._pending.discard(execution)
+        if digest is not None and self._inflight.get(digest) is future:
+            del self._inflight[digest]
+        self._stats["executed"] += 1
+        obs.metrics().counter("async_requests_total", outcome="executed").inc()
+        exc = execution.exception()  # propagated to the awaiting callers
+        if future.cancelled():
+            return
+        if exc is not None:
+            future.set_exception(exc)
+        else:
+            future.set_result(execution.result())
 
     # -- lifecycle -------------------------------------------------------------------
     def stats(self) -> dict[str, int]:
-        """Traffic counters: received, coalesced, executed, batches.
+        """Traffic counters: received, coalesced, executed.
 
         ``received == coalesced + executed`` once the tier is drained; the
         coalesced count is the number of executions the tier avoided.
@@ -265,8 +202,8 @@ class AsyncBlowfishService:
         """Reject new submissions and flush everything already accepted.
 
         After ``drain()`` returns, every request accepted before the drain
-        began has its response (or exception) set — queued requests are
-        still batched and executed, nothing is dropped — and further
+        began has its response (or exception) set — requests still waiting
+        for a pool thread are executed, nothing is dropped — and further
         :meth:`handle` calls raise :class:`ServiceDraining`.  The worker
         pool stays alive; :meth:`aclose` remains the terminal step.  This
         is the seam a long-lived front end's graceful shutdown hangs off:
@@ -275,27 +212,18 @@ class AsyncBlowfishService:
         Idempotent and safe to call concurrently with in-flight requests.
         """
         self._draining = True
-        # flush: every accepted request resolves, even ones still queued
-        # (the dispatcher keeps batching until the queue is empty)
-        while True:
-            pending = [f for f in self._pending if not f.done()]
-            if not pending:
-                break
-            done, _ = await asyncio.wait(pending)
-            for future in done:
-                # a waiter whose connection was aborted mid-await never
-                # consumes its future; mark any stored exception retrieved
-                # so shutdown does not log "exception was never retrieved"
-                if not future.cancelled():
-                    future.exception()
-        if self._dispatcher is not None:
-            # idle now — the queue is empty and nothing new can arrive
-            self._dispatcher.cancel()
-            with suppress(asyncio.CancelledError):
-                await self._dispatcher
-            self._dispatcher = None
-        if self._batch_tasks:
-            await asyncio.gather(*tuple(self._batch_tasks), return_exceptions=True)
+        # flush: every accepted request resolves, even ones still waiting
+        # for a pool thread (a waiter that went away does not cancel them)
+        while self._pending:
+            done, _ = await asyncio.wait(tuple(self._pending))
+            for execution in done:
+                # mark any stored exception retrieved so shutdown does not
+                # log "exception was never retrieved"
+                if not execution.cancelled():
+                    execution.exception()
+        # one more turn of the loop: callers whose futures resolved just
+        # before the drain began get to run before it returns
+        await asyncio.sleep(0)
 
     async def aclose(self) -> None:
         """Drain (flush accepted work, reject new), then release the pool."""
@@ -321,23 +249,16 @@ def serve_many(
     requests,
     *,
     max_workers: int = 4,
-    batch_window: float = 0.002,
-    max_batch: int = 16,
 ) -> tuple[list[dict], dict]:
     """Run a request stream through a temporary async tier, synchronously.
 
     Returns ``(responses, stats)`` with responses in request order — the
     convenience entry point for worker processes and benchmarks that want
-    coalescing/batching without owning an event loop.
+    coalescing without owning an event loop.
     """
 
     async def run():
-        async with AsyncBlowfishService(
-            service,
-            max_workers=max_workers,
-            batch_window=batch_window,
-            max_batch=max_batch,
-        ) as tier:
+        async with AsyncBlowfishService(service, max_workers=max_workers) as tier:
             responses = await tier.handle_many(requests)
             return responses, tier.stats()
 

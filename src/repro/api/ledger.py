@@ -188,7 +188,10 @@ class SQLiteLedgerStore(LedgerStore):
     share) and lazily opened, so the store object itself may be passed
     freely between threads and survives ``fork()`` — children just open
     their own connections on first use.  ``busy_timeout`` makes chargers
-    wait for the writer slot instead of failing fast.
+    wait for the writer slot instead of failing fast.  Chargers of one
+    process first queue on a process-local lock, which hands the slot over
+    at once where SQLite's busy handler would sleep and poll for it; like
+    the connections, the lock is re-created after ``fork()``.
 
     The budget is *not* stored: callers bind it per accountant, and the
     serving layer derives both key and budget deterministically from the
@@ -207,6 +210,7 @@ class SQLiteLedgerStore(LedgerStore):
         self.path = str(path)
         self.timeout = float(timeout)
         self._local = threading.local()
+        self._charge_lock = (os.getpid(), threading.Lock())
         # create the schema eagerly so readers of a fresh file see a table,
         # not an error, and concurrent first-chargers don't race the DDL
         con = self._conn()
@@ -267,7 +271,8 @@ class SQLiteLedgerStore(LedgerStore):
                 reg.counter("ledger_charge_retries_total", backend="sqlite").inc()
                 time.sleep(0.01 * attempt)
             try:
-                return self._charge_once(key, epsilon, label, budget, ids)
+                with self._process_charge_lock():
+                    return self._charge_once(key, epsilon, label, budget, ids)
             except BudgetExceededError:
                 reg.counter("ledger_charge_denials_total", backend="sqlite").inc()
                 raise
@@ -286,6 +291,15 @@ class SQLiteLedgerStore(LedgerStore):
             f"{self.CHARGE_RETRIES + 1} charge attempts "
             f"(busy_timeout={self.timeout}s each): {last_exc}"
         ) from last_exc
+
+    def _process_charge_lock(self) -> threading.Lock:
+        # a lock inherited through fork() may be held by a parent thread
+        # that does not exist in the child: never wait on it there
+        pid, lock = self._charge_lock
+        if pid != os.getpid():
+            lock = threading.Lock()
+            self._charge_lock = (os.getpid(), lock)
+        return lock
 
     def _charge_once(self, key, epsilon, label, budget, ids) -> float:
         con = self._conn()

@@ -7,8 +7,7 @@ sharded across processes by session affinity, budget truth shared through a
 the process-level tier above the in-process striping
 (:mod:`repro.api.striping`) and the asyncio front end
 (:mod:`repro.api.async_service`): each worker runs its requests through an
-:class:`AsyncBlowfishService`, so batching and in-flight coalescing apply
-per shard.
+:class:`AsyncBlowfishService`, so in-flight coalescing applies per shard.
 
 Sharding is by *session*, not round-robin: one session's requests all land
 on one worker, so its spends hit the shared ledger in program order and
@@ -166,8 +165,8 @@ class ShardedServiceRunner:
         rides the result pipe and the parent merges them into
         :attr:`ShardedRunResult.metrics` — per-worker counters summed,
         budget gauges maxed.
-    batch_window / max_batch / tier_workers:
-        Passed through to each worker's async tier.
+    tier_workers:
+        Thread-pool width of each worker's async tier.
     """
 
     def __init__(
@@ -178,8 +177,6 @@ class ShardedServiceRunner:
         mp_context: str = "fork",
         use_async: bool = True,
         metrics: bool = False,
-        batch_window: float = 0.002,
-        max_batch: int = 16,
         tier_workers: int = 4,
     ):
         if workers <= 0:
@@ -188,15 +185,7 @@ class ShardedServiceRunner:
         self.workers = int(workers)
         self.metrics = bool(metrics)
         self._ctx = mp.get_context(mp_context)
-        self._async_opts = (
-            {
-                "max_workers": tier_workers,
-                "batch_window": batch_window,
-                "max_batch": max_batch,
-            }
-            if use_async
-            else None
-        )
+        self._async_opts = {"max_workers": tier_workers} if use_async else None
 
     def shard_of(self, key) -> int:
         return _stable_shard(key, self.workers)

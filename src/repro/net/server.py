@@ -2,8 +2,8 @@
 
 Stdlib-only (asyncio + ``json``): the serving boundary a real deployment
 points clients and a Prometheus scraper at, layered over
-:class:`~repro.api.async_service.AsyncBlowfishService` so batching and
-in-flight coalescing apply to wire traffic exactly as they do in-process.
+:class:`~repro.api.async_service.AsyncBlowfishService` so in-flight
+coalescing applies to wire traffic exactly as it does in-process.
 
 Routes
 ------
@@ -193,8 +193,8 @@ class BlowfishHTTPServer:
     metrics_source:
         Zero-arg callable returning the snapshot dict ``/metrics`` renders;
         defaults to the fronted service's ``metrics_snapshot()``.
-    batch_window / max_batch / tier_workers:
-        Forwarded to the owned :class:`AsyncBlowfishService`.
+    tier_workers:
+        Thread-pool width of the owned :class:`AsyncBlowfishService`.
     """
 
     def __init__(
@@ -214,8 +214,6 @@ class BlowfishHTTPServer:
         retry_after: float = 1.0,
         configure_metrics: bool = True,
         metrics_source=None,
-        batch_window: float = 0.002,
-        max_batch: int = 16,
         tier_workers: int = 4,
     ):
         if max_inflight <= 0:
@@ -226,12 +224,7 @@ class BlowfishHTTPServer:
             self._tier = tier
             self._owns_tier = False
         else:
-            self._tier = AsyncBlowfishService(
-                service,
-                max_workers=tier_workers,
-                batch_window=batch_window,
-                max_batch=max_batch,
-            )
+            self._tier = AsyncBlowfishService(service, max_workers=tier_workers)
             self._owns_tier = True
         self.host = host
         self.port = port

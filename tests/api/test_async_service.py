@@ -9,7 +9,9 @@ Pure-asyncio tests (no plugin needed — each test drives its own loop via
 * responses through the tier are bitwise identical to the sync service
   handling the same stream;
 * an exception inside the sync service propagates to every coalesced
-  waiter; stats add up (``received == coalesced + executed``).
+  waiter; stats add up (``received == coalesced + executed``);
+* distinct requests execute concurrently on the pool — none waits for a
+  neighbour to finish, and a neighbour's failure stays its own.
 """
 
 from __future__ import annotations
@@ -139,7 +141,7 @@ class TestCoalescing:
 class TestAnswersUnchanged:
     def test_tier_matches_sync_service_bitwise(self, domain, db):
         # sessionless seeded requests are pure functions of the request, so
-        # the tier's reordering/batching cannot show through: every answer
+        # the tier's concurrent scheduling cannot show through: every answer
         # must equal the sync service's, bit for bit
         requests = [
             _range_request(domain, seed=i, lo=i, hi=40 + i) for i in range(8)
@@ -149,7 +151,7 @@ class TestAnswersUnchanged:
         assert all(r["ok"] for r in got), got
         assert [r["answers"] for r in got] == [r["answers"] for r in expected]
         assert stats["received"] == 8
-        assert stats["batches"] >= 1
+        assert stats["executed"] == 8
 
     def test_session_repeats_identical_in_any_order(self, domain, db):
         # within a session the guarantee is per *request*: repeats of one
@@ -204,7 +206,45 @@ class TestErrorsAndLifecycle:
     def test_validation(self):
         with pytest.raises(ValueError):
             AsyncBlowfishService(max_workers=0)
-        with pytest.raises(ValueError):
-            AsyncBlowfishService(max_batch=0)
-        with pytest.raises(ValueError):
-            AsyncBlowfishService(batch_window=-0.1)
+
+
+class _BarrierService:
+    """Each ``handle`` waits until two calls are inside it at once."""
+
+    def __init__(self, fail_on=None):
+        self.barrier = threading.Barrier(2, timeout=5)
+        self.fail_on = fail_on
+
+    def handle(self, request):
+        self.barrier.wait()
+        if request["name"] == self.fail_on:
+            raise RuntimeError(f"{request['name']} failed")
+        return {"ok": True, "name": request["name"]}
+
+
+class TestConcurrentDispatch:
+    def test_two_requests_execute_at_once(self):
+        # a tier that ran one request after the other would leave the
+        # barrier at one party until its timeout breaks it
+        async def run():
+            async with AsyncBlowfishService(_BarrierService(), max_workers=2) as tier:
+                return await tier.handle_many([{"name": "a"}, {"name": "b"}])
+
+        responses = asyncio.run(run())
+        assert [r["name"] for r in responses] == ["a", "b"]
+
+    def test_failure_does_not_reach_a_concurrent_neighbour(self):
+        async def run():
+            async with AsyncBlowfishService(
+                _BarrierService(fail_on="a"), max_workers=2
+            ) as tier:
+                return await asyncio.gather(
+                    tier.handle({"name": "a"}),
+                    tier.handle({"name": "b"}),
+                    return_exceptions=True,
+                ), tier.stats()
+
+        (failed, ok), stats = asyncio.run(run())
+        assert isinstance(failed, RuntimeError) and str(failed) == "a failed"
+        assert ok == {"ok": True, "name": "b"}
+        assert stats["executed"] == 2 and stats["coalesced"] == 0

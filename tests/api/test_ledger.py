@@ -7,6 +7,8 @@ the deployment-level guarantees the seam buys:
 * a 4-process SQLite stress: racing workers over one file never jointly
   overspend — admissions stop exactly at the cap, every other attempt is a
   clean :class:`BudgetExceededError`, and no admitted spend is lost;
+* a child forked while a parent thread is inside ``charge()`` can still
+  charge (the process-local charge lock is re-created after fork);
 * two :class:`BlowfishService` instances sharing one SQLite file behave as
   one logical service: spends made through either are visible to (and
   enforced against) the other, surviving session-cache eviction.
@@ -15,6 +17,7 @@ the deployment-level guarantees the seam buys:
 from __future__ import annotations
 
 import multiprocessing
+import os
 import threading
 
 import numpy as np
@@ -175,6 +178,53 @@ class TestMultiProcessStress:
         store = SQLiteLedgerStore(path)
         assert store.total("shared") == pytest.approx(STRESS_BUDGET)
         assert len(store.entries("shared")) == admitted
+
+
+class _StallingStore(SQLiteLedgerStore):
+    """Stalls the parent's charges inside ``charge()``, holding the
+    process-local charge lock (but not yet SQLite's writer slot)."""
+
+    def __init__(self, path):
+        super().__init__(path)
+        self.parent_pid = os.getpid()
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def _charge_once(self, *args):
+        if os.getpid() == self.parent_pid:
+            self.entered.set()
+            self.release.wait(timeout=30)
+        return super()._charge_once(*args)
+
+
+def _charge_and_exit(store):
+    store.charge("child", 0.5)
+    os._exit(0)
+
+
+class TestForkSafety:
+    def test_child_forked_mid_charge_can_charge(self, tmp_path):
+        store = _StallingStore(str(tmp_path / "fork.sqlite"))
+        stalled = threading.Thread(target=store.charge, args=("parent", 0.25))
+        stalled.start()
+        try:
+            assert store.entered.wait(timeout=10)
+            # the child inherits the held lock but not the thread holding it
+            child = multiprocessing.get_context("fork").Process(
+                target=_charge_and_exit, args=(store,)
+            )
+            child.start()
+            child.join(timeout=20)
+            if child.is_alive():
+                child.kill()
+                child.join()
+            assert child.exitcode == 0
+        finally:
+            store.release.set()
+            stalled.join(timeout=30)
+        assert not stalled.is_alive()
+        assert store.total("child") == pytest.approx(0.5)
+        assert store.total("parent") == pytest.approx(0.25)
 
 
 # -- two services, one ledger file ----------------------------------------------------

@@ -123,7 +123,7 @@ def test_request_id_does_not_defeat_coalescing():
     service = make_service()
 
     async def main():
-        tier = AsyncBlowfishService(service, batch_window=0.05)
+        tier = AsyncBlowfishService(service)
         try:
             base = seeded_request(0, session="shared")
             tasks = [
