@@ -16,8 +16,9 @@ Run with::
 spiky mixture the shipped constants were measured on — or ``uniform``;
 ``all`` fits every family).  The output block is ready to paste into
 ``COST_MODEL_FITS``; deployments serving a different data distribution
-re-fit here and activate the result with
-``repro.analysis.bounds.set_active_calibration``.
+re-fit here, register the result and pin it per dataset with
+``BlowfishService.register_dataset(..., calibration=NAME)`` (or scope it
+with ``repro.analysis.bounds.calibration``).
 
 Not a test: this is the reproducible provenance of the constants.  Re-run
 after changing a mechanism's post-processing and update the fits when the

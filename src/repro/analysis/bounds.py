@@ -51,7 +51,6 @@ __all__ = [
     "calibration_factor",
     "active_calibration",
     "active_calibration_family",
-    "set_active_calibration",
     "register_calibration",
     "calibration",
     "StreamContext",
@@ -146,9 +145,9 @@ INFERENCE_THETA_EXPONENT: dict[str, float] = {
 #: ``benchmarks/calibrate_cost_model.py --family <name>``.  The shipped
 #: default is the synthetic spiky-mixture grid the constants above were
 #: measured on; re-fits for other dataset families are registered here (or
-#: via :func:`register_calibration`) and activated with
-#: :func:`set_active_calibration` — the planner's scores then use the
-#: active family's constants everywhere.
+#: via :func:`register_calibration`) and activated per scope with
+#: :func:`calibration` — the planner's scores then use the active family's
+#: constants everywhere.
 COST_MODEL_FITS: dict[str, dict] = {
     "synthetic-grid": {
         "constants": CALIBRATION,
@@ -256,21 +255,18 @@ COST_MODEL_FITS: dict[str, dict] = {
     },
 }
 
-_active_fit = "synthetic-grid"
-
-#: Scoped override of the active fit.  A contextvar rather than a global so
-#: a multi-tenant service can plan each request under the fit calibrated
-#: for *that request's dataset family* (``repro.api.BlowfishService``
-#: auto-selects per registered dataset) without perturbing concurrent
-#: requests or the process-wide default.
-_fit_override: contextvars.ContextVar = contextvars.ContextVar(
-    "repro_calibration_fit", default=None
+#: The active fit.  A contextvar so a multi-tenant service can plan each
+#: request under the fit calibrated for *that request's dataset family*
+#: (``repro.api.BlowfishService`` resolves it per registered dataset)
+#: without perturbing concurrent requests; outside any :func:`calibration`
+#: scope the shipped synthetic-grid fit is active.
+_calibration_fit: contextvars.ContextVar = contextvars.ContextVar(
+    "repro_calibration_fit", default="synthetic-grid"
 )
 
 
 def _current_fit() -> str:
-    override = _fit_override.get()
-    return override if override is not None else _active_fit
+    return _calibration_fit.get()
 
 
 @contextmanager
@@ -282,17 +278,16 @@ def calibration(family: str):
     if family not in COST_MODEL_FITS:
         known = ", ".join(sorted(COST_MODEL_FITS))
         raise KeyError(f"unknown calibration family {family!r} (known: {known})")
-    token = _fit_override.set(family)
+    token = _calibration_fit.set(family)
     try:
         yield
     finally:
-        _fit_override.reset(token)
+        _calibration_fit.reset(token)
 
 
 def active_calibration_family() -> str:
-    """Name of the active fit (plan-cache keys, plan provenance stamps).
-    Honours a scoped :func:`calibration` override before the process-wide
-    :func:`set_active_calibration` choice."""
+    """Name of the active fit (plan-cache keys, plan provenance stamps):
+    the innermost :func:`calibration` scope's, else the shipped default."""
     return _current_fit()
 
 
@@ -310,21 +305,6 @@ def active_calibration() -> dict:
         "constants": constants,
         "theta_exponents": dict(fit.get("theta_exponents", {})),
     }
-
-
-def set_active_calibration(family: str) -> str:
-    """Activate a registered fit; returns the previously active family.
-
-    Process-wide (the planner has no per-call fit parameter by design: one
-    deployment serves one dataset family per process, and mixing fits
-    within a plan would make its scoreboard incomparable).
-    """
-    global _active_fit
-    if family not in COST_MODEL_FITS:
-        known = ", ".join(sorted(COST_MODEL_FITS))
-        raise KeyError(f"unknown calibration family {family!r} (known: {known})")
-    previous, _active_fit = _active_fit, family
-    return previous
 
 
 def register_calibration(
@@ -436,8 +416,7 @@ def calibration_factor(
     ``theta`` feeds the with-inference power law for the prefix-structured
     mechanisms; omit it (or pass ``None``) for the flat constant alone.
     Constants come from the *active* fit (a scoped :func:`calibration`
-    override, else :func:`set_active_calibration`); the default is the
-    shipped synthetic-grid measurement.
+    override); the default is the shipped synthetic-grid measurement.
     """
     fit = COST_MODEL_FITS[_current_fit()]
     factor = fit["constants"].get((strategy, bool(consistent)), 1.0)

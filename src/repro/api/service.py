@@ -19,7 +19,8 @@ Request shape (``op: "answer"``)::
       "dataset": {"name": "adult"}     # registered server-side, or
                  {"indices": [3, 17, ...]},   # inline domain indices
       "queries": [ {"kind": "range", "lo": 0, "hi": 9}, ... ]
-                 or {"kind": "range_batch", "los": [...], "his": [...]},
+                 or {"kind": "range_batch", "los": [...], "his": [...]}
+                 or {"kind": "workload", "groups": [...]},
       "session": "client-42",          # optional: persistent ledger + reuse
       "budget": 2.0,                   # optional, applied when the session opens
       "seed": 0,                       # optional: reproducible noise
@@ -29,13 +30,20 @@ Request shape (``op: "answer"``)::
                                        # root request span
     }
 
-``op: "plan"`` answers the same shapes through the cost-driven planner
-(:mod:`repro.plan`): per group the predicted-cheapest mechanism is chosen
-and releases are shared where reuse is predicted to win, with the executed
-plan's per-step report in the response.  ``op: "explain"`` compiles and
-returns the plan (chosen mechanism, predicted RMSE, sensitivity, epsilon
-split per group) without touching any data or spending any budget.  Both
-accept an optional ``"plan_budget"`` — ``{"total": 1.0, "degradation":
+Every answering op runs one path — compile a :mod:`repro.plan` plan
+against the session's held releases, then execute it.  ``op: "answer"``
+compiles the registry's fixed per-family dispatch, so its
+``meta.release_cache`` and ``meta.strategies`` are keyed by family
+(``"range"``, ``"histogram"``, ``"linear"``), and on streams a held release
+serves it at any age.  ``op: "plan"`` answers the same query shapes
+through the cost-driven planner: per group
+the predicted-cheapest mechanism is chosen and releases are shared where
+reuse is predicted to win, with the executed plan's per-step report in the
+response (``"mode": "fixed"`` compiles the dispatch ``"answer"`` runs).
+``op: "explain"`` compiles and returns the plan (chosen mechanism,
+predicted RMSE, sensitivity, epsilon split per group) without touching any
+data or spending any budget.  ``"plan"`` and ``"explain"`` accept an
+optional ``"plan_budget"`` — ``{"total": 1.0, "degradation":
 "drop_optional"}`` or ``{"uniform": 0.25}`` — for budget-first planning:
 the total is split adaptively across the plan's fresh releases to minimize
 predicted workload error, and a session whose remaining budget cannot
@@ -96,7 +104,7 @@ from ..core.queries import Query, _int_array
 from ..core.rng import ensure_rng
 from ..core.specbase import SpecError, check_version, spec_get
 from ..plan import PlanBudget, Workload
-from ..plan.workload import validate_range_arrays
+from ..plan.workload import ANY_AGE, validate_range_arrays
 from .pool import EnginePool, _options_key
 from .session import Session
 from .specs import spec_digest
@@ -110,14 +118,14 @@ def default_calibration_for(name: str) -> str | None:
 
     A registered fit family whose leading token appears in the dataset name
     (``"uniform-ages"`` → ``"uniform"``) is auto-selected; unknown names
-    return ``None`` and plan under the process default.  Callers with real
+    return ``None`` and plan under the shipped default.  Callers with real
     knowledge pass ``calibration=`` to :meth:`BlowfishService
     .register_dataset` instead of relying on this heuristic.
     """
     lowered = name.lower()
     for family in sorted(COST_MODEL_FITS):
         if family == "synthetic-grid":
-            continue  # the process default; never an auto-upgrade
+            continue  # the shipped default; never an auto-upgrade
         if family.split("-")[0] in lowered:
             return family
     return None
@@ -188,11 +196,11 @@ class BlowfishService:
 
         ``calibration`` pins the cost-model fit family
         (:data:`~repro.analysis.bounds.COST_MODEL_FITS`) this dataset's
-        plans are scored under — per request, scoped, without touching the
-        process-wide :func:`~repro.analysis.bounds.set_active_calibration`
-        default other tenants plan against.  Omitted, the fit is
-        auto-selected from the dataset name via
-        :func:`default_calibration_for` (no match → process default).
+        plans are scored under — per request, scoped through
+        :func:`~repro.analysis.bounds.calibration`, so other tenants keep
+        their own fit.  Omitted, the fit is auto-selected from the dataset
+        name via :func:`default_calibration_for` (no match → the shipped
+        default).
         """
         if calibration is None:
             calibration = default_calibration_for(name)
@@ -331,10 +339,8 @@ class BlowfishService:
             raise SpecError("request", f"expected a mapping, got {type(request).__name__}")
         check_version(request, "request", required=False)
         op = spec_get(request, "op", str, "request", required=False, default="answer")
-        if op == "answer":
-            return self._answer(request)
-        if op == "plan":
-            return self._plan(request)
+        if op in ("answer", "plan"):
+            return self._execute(request, op)
         if op == "explain":
             return self._explain(request)
         if op == "describe":
@@ -538,51 +544,23 @@ class BlowfishService:
         return session, session_id, budget_note
 
     # -- ops -------------------------------------------------------------------------
-    def _answer(self, request: dict) -> dict:
-        engine, engine_cache, options = self._engine_for(request)
-        domain = engine.policy.domain
-        db, dataset_key = self._dataset_for(request, engine.policy)
-        session, session_id, budget_note = self._session_for(
-            request, engine, db, dataset_key, options
-        )
-        self._annotate_request_span(engine, session_id, engine_cache)
-        rng = ensure_rng(spec_get(request, "seed", int, "request", required=False))
+    def _execute(self, request: dict, op: str) -> dict:
+        """``op: "answer"`` and ``op: "plan"`` — compile, then execute.
 
-        ranges, queries = self._parse_queries(request, domain)
-        if ranges is not None:
-            los, his = ranges
-            answers, call_meta = session.answer_ranges_with_meta(los, his, rng=rng)
-            n_queries = los.size
-        else:
-            answers, call_meta = session.answer_with_meta(queries, rng=rng)
-            n_queries = len(queries)
-
-        meta = {
-            "n_queries": int(n_queries),
-            "policy_fingerprint": engine.fingerprint,
-            "epsilon": engine.epsilon,
-            "session": session_id,
-            "strategies": self._strategies(engine, call_meta["release_cache"]),
-            "engine_cache": engine_cache,
-            "sensitivity_cache": engine.cache_info(),
-            **call_meta,
-        }
-        if budget_note is not None:
-            meta["budget"] = budget_note
-        return {"ok": True, "op": "answer", "answers": answers.tolist(), "meta": meta}
-
-    def _plan(self, request: dict) -> dict:
-        """``op: "plan"`` — cost-driven planning, then execution.
-
-        Same request shape as ``"answer"`` (queries may also be a
-        ``{"kind": "workload"}`` spec), plus an optional ``"mode"``:
-        ``"auto"`` (default; the planner scores every candidate mechanism
-        and may share releases across groups) or ``"fixed"`` (compile the
-        registry's per-family dispatch — byte-identical to ``"answer"``).
-        The response carries the executed plan's per-step report.
+        Both ops run one path: :meth:`Session.plan_execute_with_meta`.
+        ``"plan"`` reads an optional ``"mode"`` — ``"auto"`` (default; the
+        planner scores every candidate mechanism and may share releases
+        across groups) or ``"fixed"`` (the registry's per-family dispatch)
+        — and an optional ``"plan_budget"``, and reports the executed
+        plan's per-step report.  ``"answer"`` is the fixed-mode plan with
+        no plan budget: its release keys are the family names, so its
+        ``release_cache`` and ``strategies`` are keyed by family, and a
+        group that declares no freshness bound is served from a held
+        release of any age on streams.
         """
+        planned = op == "plan"
         engine, engine_cache, options = self._engine_for(request)
-        plan_budget = self._parse_plan_budget(request)
+        plan_budget = self._parse_plan_budget(request) if planned else None
         db, dataset_key = self._dataset_for(request, engine.policy)
         session, session_id, budget_note = self._session_for(
             request, engine, db, dataset_key, options, self._stream_budget(plan_budget)
@@ -590,6 +568,10 @@ class BlowfishService:
         self._annotate_request_span(engine, session_id, engine_cache)
         rng = ensure_rng(spec_get(request, "seed", int, "request", required=False))
         workload = self._parse_workload(request, engine.policy.domain)
+        if not planned:
+            for group in workload.groups:
+                if group.max_staleness is None:
+                    group.max_staleness = ANY_AGE
         # one lock acquisition for compile + run: the budget consulted at
         # planning time is the budget the execution spends against, even
         # under concurrent requests on this session.  The dataset's
@@ -598,7 +580,7 @@ class BlowfishService:
         with self._calibration_ctx(dataset_key):
             plan, plan_cache, answers, call_meta = session.plan_execute_with_meta(
                 workload,
-                optimize=self._plan_mode(request) == "auto",
+                optimize=planned and self._plan_mode(request) == "auto",
                 budget=plan_budget,
                 rng=rng,
             )
@@ -614,13 +596,12 @@ class BlowfishService:
         }
         if budget_note is not None:
             meta["budget"] = budget_note
-        return {
-            "ok": True,
-            "op": "plan",
-            "answers": _jsonable_answers(answers),
-            "plan": self._plan_section(plan),
-            "meta": meta,
-        }
+        response = {"ok": True, "op": op, "answers": _jsonable_answers(answers), "meta": meta}
+        if planned:
+            response["plan"] = self._plan_section(plan)
+        else:
+            meta["strategies"] = self._strategies(engine, call_meta["release_cache"])
+        return response
 
     @staticmethod
     def _plan_section(plan) -> dict:
@@ -927,39 +908,10 @@ class BlowfishService:
         return out
 
     # -- query parsing ---------------------------------------------------------------
-    def _parse_queries(self, request: dict, domain):
-        """Returns ``((los, his), None)`` for pure-range batches (vectorized
-        hot path) or ``(None, [Query, ...])`` for mixed batches."""
-        specs = spec_get(request, "queries", (list, dict), "request")
-        if isinstance(specs, dict):
-            kind = spec_get(specs, "kind", str, "request.queries")
-            if kind != "range_batch":
-                raise SpecError(
-                    "request.queries.kind",
-                    f"expected 'range_batch' (or a list of query specs), got {kind!r}",
-                )
-            los = _int_array(
-                spec_get(specs, "los", list, "request.queries"), "request.queries.los"
-            )
-            his = _int_array(
-                spec_get(specs, "his", list, "request.queries"), "request.queries.his"
-            )
-            if los.size != his.size:
-                raise SpecError("request.queries", "los and his must have equal length")
-            return self._validated_ranges(los, his, domain, "request.queries"), None
-        if not specs:
-            raise SpecError("request.queries", "at least one query is required")
-        fast = self._range_arrays(specs, domain)
-        if fast is not None:
-            return fast, None
-        queries = [
-            Query.from_spec(q, domain, f"request.queries[{i}]") for i, q in enumerate(specs)
-        ]
-        return None, queries
-
     def _parse_workload(self, request: dict, domain) -> Workload:
-        """The ``"plan"``/``"explain"`` query shapes: a flat spec list, a
-        ``range_batch``, or a full ``{"kind": "workload"}`` spec."""
+        """The request's ``"queries"``: a flat spec list (pure-range lists
+        take the vectorized path), a ``range_batch``, or a full
+        ``{"kind": "workload"}`` spec."""
         specs = spec_get(request, "queries", (list, dict), "request")
         if isinstance(specs, dict):
             kind = spec_get(specs, "kind", str, "request.queries")
@@ -971,9 +923,24 @@ class BlowfishService:
                     "expected 'workload', 'range_batch' or a list of query "
                     f"specs, got {kind!r}",
                 )
-        ranges, queries = self._parse_queries(request, domain)
-        if ranges is not None:
-            return Workload.ranges(domain, *ranges)
+            los = _int_array(
+                spec_get(specs, "los", list, "request.queries"), "request.queries.los"
+            )
+            his = _int_array(
+                spec_get(specs, "his", list, "request.queries"), "request.queries.his"
+            )
+            if los.size != his.size:
+                raise SpecError("request.queries", "los and his must have equal length")
+            validate_range_arrays(los, his, domain, "request.queries")
+            return Workload.ranges(domain, los, his)
+        if not specs:
+            raise SpecError("request.queries", "at least one query is required")
+        fast = self._range_arrays(specs, domain)
+        if fast is not None:
+            return Workload.ranges(domain, *fast)
+        queries = [
+            Query.from_spec(q, domain, f"request.queries[{i}]") for i, q in enumerate(specs)
+        ]
         return Workload.from_queries(domain, queries)
 
     def _range_arrays(self, specs: list, domain):
@@ -991,13 +958,8 @@ class BlowfishService:
         if los.dtype.kind != "i" or his.dtype.kind != "i" or los.ndim != 1 or his.ndim != 1:
             # a non-int (or non-scalar) lo/hi snuck in; the per-spec parser names it
             return None
-        return self._validated_ranges(
-            los.astype(np.int64), his.astype(np.int64), domain, "request.queries"
-        )
-
-    @staticmethod
-    def _validated_ranges(los: np.ndarray, his: np.ndarray, domain, path: str):
-        validate_range_arrays(los, his, domain, path)
+        los, his = los.astype(np.int64), his.astype(np.int64)
+        validate_range_arrays(los, his, domain, "request.queries")
         return los, his
 
     def __repr__(self) -> str:

@@ -13,7 +13,6 @@ two things that must never be shared across tenants:
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from threading import RLock
 
 import numpy as np
@@ -21,15 +20,11 @@ import numpy as np
 from .. import obs
 from ..core.composition import PrivacyAccountant
 from ..core.database import Database
-from ..core.queries import Query
 from ..core.rng import ensure_rng
 from ..engine.engine import PolicyEngine
+from ..plan.workload import ANY_AGE, QueryGroup, Workload
 
 __all__ = ["Session"]
-
-#: query-spec kind -> released-synopsis family that serves it
-QUERY_FAMILY = {"range": "range", "count": "histogram", "linear": "linear"}
-
 
 def _staleness_floor(workload) -> int:
     """The tightest freshness bound any group in ``workload`` demands.
@@ -107,7 +102,7 @@ class Session:
             )
         else:
             self.accountant = PrivacyAccountant(engine.policy, budget)
-        #: family -> released synopsis; engine.answer() adds to it in place.
+        #: release key -> released synopsis; the executor adds to it in place.
         self.releases: dict = {}
         #: release key -> tick it was released at (streaming sessions only;
         #: drives the per-group staleness bounds the planner enforces)
@@ -117,8 +112,8 @@ class Session:
         #: StreamState when the stream came with a StreamBudget
         self.stream_state = None
         self._db_tick: int = -1
-        # re-entrant: the metered wrappers lock, then call the locked
-        # answer/plan primitives on the same thread
+        # re-entrant: plan_execute_with_meta locks, then calls the locked
+        # plan_with_meta on the same thread
         self._lock = RLock()
 
     # -- streaming -----------------------------------------------------------------
@@ -186,61 +181,17 @@ class Session:
             if key not in cached_before or key not in self.release_ticks:
                 self.release_ticks[key] = self._db_tick
 
-    # -- answering -----------------------------------------------------------------
-    def answer(self, queries: Sequence[Query], *, rng=None) -> np.ndarray:
-        """Answer a mixed batch, reusing this session's releases (in order)."""
-        with self._lock:
-            self._sync_stream()
-            cached_before = set(self.releases)
-            answers = self.engine.answer(
-                queries,
-                self.db,
-                rng=rng,
-                releases=self.releases,
-                accountant=self.accountant,
-            )
-            self._record_births(cached_before)
-            return answers
-
-    def answer_ranges(self, los, his, *, rng=None) -> np.ndarray:
-        """Vectorized range answers from index arrays (the bulk hot path)."""
-        with self._lock:
-            self._sync_stream()
-            rel = self.releases.get("range")
-            if rel is None:
-                rel = self.engine.release(
-                    self.db, "range", rng=ensure_rng(rng), accountant=self.accountant
-                )
-                self.releases["range"] = rel
-                if self.stream is not None:
-                    self.release_ticks["range"] = self._db_tick
-        return rel.ranges(np.asarray(los, np.int64), np.asarray(his, np.int64))
-
-    def answer_with_meta(
-        self, queries: Sequence[Query], *, rng=None
-    ) -> tuple[np.ndarray, dict]:
-        """Like :meth:`answer`, plus a metadata dict describing the call.
-
-        The metadata records which families were served from cached
-        releases (``"hit"``) versus released fresh (``"miss"``), the epsilon
-        this call actually cost, and the session's running total — exactly
-        what :class:`~repro.api.BlowfishService` returns to clients.
-        """
-        families = {QUERY_FAMILY[q.spec_kind] for q in queries if q.spec_kind in QUERY_FAMILY}
-        return self._metered(lambda: self.answer(queries, rng=rng), families)
-
-    def answer_ranges_with_meta(self, los, his, *, rng=None) -> tuple[np.ndarray, dict]:
-        """:meth:`answer_ranges` with the same metadata as :meth:`answer_with_meta`."""
-        return self._metered(lambda: self.answer_ranges(los, his, rng=rng), {"range"})
-
-    # -- planning ------------------------------------------------------------------
-    def plan(self, workload, *, optimize: bool = True, budget=None):
-        """Compile a plan for ``workload`` that knows this session's cache.
+    # -- planning & answering ------------------------------------------------------
+    def plan_with_meta(self, workload, *, optimize: bool = True, budget=None):
+        """Compile a plan for ``workload`` that knows this session's cache:
+        ``(plan, plan_cache)``, the cache outcome being ``"hit"``/``"miss"``/
+        ``"uncached"``.  Nothing is executed or spent: this is the preview
+        the ``"explain"`` op reports.
 
         Releases the session already holds are charged 0 and offered as
         reuse candidates (row-aware for linear batches), so repeat plans
-        get cheaper as the session warms.  Pooled engines memoize the
-        compiled plan in the cross-tenant :class:`~repro.api.PlanCache`
+        get cheaper as the session warms.  Pooled engines memoize
+        cost-driven plans in the cross-tenant :class:`~repro.api.PlanCache`
         (keyed on this session's release state among everything else), so
         other tenants with the same workload skip candidate scoring.
 
@@ -250,12 +201,6 @@ class Session:
         degradation mode — ``strict`` raises
         :class:`~repro.core.composition.BudgetExceededError` here, at
         planning time, before any noise is drawn or epsilon spent.
-        """
-        return self.plan_with_meta(workload, optimize=optimize, budget=budget)[0]
-
-    def plan_with_meta(self, workload, *, optimize: bool = True, budget=None):
-        """:meth:`plan`, plus the plan-cache outcome (``"hit"``/``"miss"``/
-        ``"uncached"``) for this compile.
 
         On a streaming session the compile first syncs to the latest sealed
         tick and hands the planner each held release's age, so per-group
@@ -315,29 +260,32 @@ class Session:
     def plan_execute_with_meta(
         self, workload, *, optimize: bool = True, budget=None, rng=None
     ):
-        """Compile and run in one lock acquisition: ``(plan, plan_cache,
-        answers, meta)``.
+        """Compile and run ``workload`` in one lock acquisition: ``(plan,
+        plan_cache, answers, meta)``.
 
-        The remaining-budget consult and the resulting spends happen
-        atomically with respect to concurrent requests on this session —
-        a plan that :meth:`plan` judged affordable (or degraded to fit)
-        cannot be invalidated by an interleaved spend before it executes.
-        Callers composing :meth:`plan` and :meth:`execute_plan` themselves
-        get the same guarantee only if nothing else touches the session in
-        between; the serving façade always goes through this method.
+        The single answering path: ``optimize=False`` runs the registry's
+        fixed per-family dispatch (the ``"answer"`` op), ``optimize=True``
+        the cost-driven plan (the ``"plan"`` op).  The remaining-budget
+        consult and the resulting spends happen atomically with respect to
+        concurrent requests on this session — a plan judged affordable (or
+        degraded to fit) cannot be invalidated by an interleaved spend
+        before it executes.
+
+        ``meta`` carries the epsilon this call spent, the session's running
+        total and the executor's per-release-key ``"hit"``/``"miss"``
+        outcomes (plus ``"degraded"`` and, with a stream budget,
+        ``"stream"``) — exactly what :class:`~repro.api.BlowfishService`
+        returns to clients.
         """
+        from ..plan import Executor
+
         with self._lock, obs.tracer().span(
             "session.plan_execute", client=self.client_id
         ):
-            if self.stream is None:
-                plan, plan_cache = self.plan_with_meta(
-                    workload, optimize=optimize, budget=budget
-                )
-                answers, meta = self.execute_plan(plan, rng=rng)
-                return plan, plan_cache, answers, meta
             rng = ensure_rng(rng)
             self._sync_stream()
-            spent_before = self.accountant.sequential_total()
+            on_stream = self.stream is not None
+            spent_before = self.accountant.sequential_total() if on_stream else None
             ss = self.stream_state
             if ss is not None:
                 # a previously chosen counter is continual: fold every newly
@@ -350,21 +298,47 @@ class Session:
                 workload, optimize=optimize, budget=budget
             )
             cached_before = set(self.releases)
-            self._stream_fixup(plan, rng)
-            answers, meta = self.execute_plan(plan, rng=rng)
-            self._record_births(cached_before)
-            # the amortized stream spends happen beside the executor's own
-            # ledger; the honest per-call figure is the accountant delta
-            meta["epsilon_spent"] = (
-                self.accountant.sequential_total() - spent_before
-            )
-            meta["session_total"] = self.accountant.sequential_total()
-            if ss is not None:
-                meta["stream"] = ss.describe()
-            ages = self._staleness() or {}
-            for key, age in ages.items():
+            if on_stream:
+                self._stream_fixup(plan, rng)
+            with obs.tracer().span("session.execute") as span:
+                result = Executor(self.engine).run(
+                    plan, self.db, rng=rng, releases=self.releases, accountant=self.accountant
+                )
+                self._record_births(cached_before)
+                total = self.accountant.sequential_total()
+                meta = {
+                    # the amortized stream spends happen beside the
+                    # executor's own ledger; on a stream the honest
+                    # per-call figure is the accountant delta
+                    "epsilon_spent": (
+                        result.epsilon_spent if spent_before is None else total - spent_before
+                    ),
+                    "session_total": total,
+                    "release_cache": result.release_cache,
+                }
+                degraded = plan.degraded()
+                if degraded:
+                    meta["degraded"] = degraded
+                if ss is not None:
+                    meta["stream"] = ss.describe()
+                span.set(epsilon_spent=meta["epsilon_spent"], session_total=total)
+            if result.epsilon_spent:
+                obs.metrics().counter("epsilon_spent_total").inc(result.epsilon_spent)
+            for key, age in (self._staleness() or {}).items():
                 obs.metrics().gauge("stream_release_age", key=key).set(age)
-            return plan, plan_cache, answers, meta
+            return plan, plan_cache, result.answers, meta
+
+    def answer_ranges_with_meta(self, los, his, *, rng=None) -> tuple[np.ndarray, dict]:
+        """A fixed-mode range read: ``(answers, meta)``.
+
+        Kept only because ``perfbench/layers.py`` wraps this method by name
+        (through ``cls.__dict__``); the service never calls it.
+        """
+        return self.plan_execute_with_meta(
+            Workload(self.db.domain, [QueryGroup.ranges(los, his, max_staleness=ANY_AGE)]),
+            optimize=False,
+            rng=rng,
+        )[2:]
 
     def _stream_fixup(self, plan, rng) -> None:
         """Reconcile a tick's compiled plan with the stream serving state.
@@ -394,72 +368,6 @@ class Session:
             ):
                 del self.releases[key]
                 self.release_ticks.pop(key, None)
-
-    def execute_plan(self, plan, *, rng=None) -> tuple[np.ndarray, dict]:
-        """Run a compiled plan against this session's data, ledger and cache.
-
-        Returns ``(answers, meta)`` with the same metadata shape as
-        :meth:`answer_with_meta`; the release-cache entries are keyed by the
-        plan's release keys (``"range"``, ``"range:ordered"``, ...) and come
-        straight from the executor's own ledger — one implementation of the
-        hit/miss and spend rules, not two.
-        """
-        from ..plan import Executor
-
-        with self._lock, obs.tracer().span("session.execute") as span:
-            result = Executor(self.engine).run(
-                plan, self.db, rng=rng, releases=self.releases, accountant=self.accountant
-            )
-            meta = {
-                "epsilon_spent": result.epsilon_spent,
-                "session_total": self.accountant.sequential_total(),
-                "release_cache": result.release_cache,
-            }
-            degraded = plan.degraded()
-            if degraded:
-                meta["degraded"] = degraded
-            span.set(
-                epsilon_spent=result.epsilon_spent,
-                session_total=meta["session_total"],
-            )
-            if result.epsilon_spent:
-                obs.metrics().counter("epsilon_spent_total").inc(result.epsilon_spent)
-        return result.answers, meta
-
-    def _metered(self, call, families) -> tuple[np.ndarray, dict]:
-        """Run ``call`` and account its spends/cache behavior per family.
-
-        A family is a ``"hit"`` when its release predates the call and the
-        call spent nothing on it — a linear batch that reuses some rows but
-        releases new ones is therefore (correctly) a ``"miss"``.
-
-        The whole read-call-read sequence runs under the session lock, so a
-        concurrent request can never interleave a spend between the call
-        and the totals reported for it.
-        """
-        with self._lock, obs.tracer().span(
-            "session.answer", client=self.client_id
-        ) as span:
-            cached_before = set(self.releases)
-            spent_before = self.accountant.sequential_total()
-            n_spends = len(self.accountant.spends)
-            answers = call()
-            released = {label for label, _ in self.accountant.spends[n_spends:]}
-            meta = {
-                "epsilon_spent": self.accountant.sequential_total() - spent_before,
-                "session_total": self.accountant.sequential_total(),
-                "release_cache": {
-                    family: "miss" if family in released or family not in cached_before else "hit"
-                    for family in sorted(families)
-                },
-            }
-            span.set(
-                epsilon_spent=meta["epsilon_spent"],
-                session_total=meta["session_total"],
-            )
-            if meta["epsilon_spent"]:
-                obs.metrics().counter("epsilon_spent_total").inc(meta["epsilon_spent"])
-        return answers, meta
 
     # -- budget --------------------------------------------------------------------
     @property

@@ -439,9 +439,9 @@ class PolicyEngine:
         within their ``max_staleness`` bound, and ages are part of the
         plan-cache identity.
 
-        With a :attr:`plan_cache` attached (pooled engines), the compiled
-        plan is memoized under everything it depends on — policy
-        fingerprint, epsilon, options, the workload's structural digest,
+        With a :attr:`plan_cache` attached (pooled engines), a cost-driven
+        (``optimize=True``) plan is memoized under everything it depends
+        on — policy fingerprint, epsilon, options, the workload's digest,
         the caller's existing-release state (with staleness ages) and the
         budget directive — so a repeated workload skips candidate scoring
         entirely.
@@ -466,7 +466,8 @@ class PolicyEngine:
         staleness=None,
     ):
         """:meth:`plan`, plus ``"hit"``/``"miss"``/``"uncached"`` for the
-        plan-cache outcome of this call (what the service reports)."""
+        plan-cache outcome of this call (what the service reports).
+        Fixed-mode compiles are always ``"uncached"``."""
         from ..analysis.bounds import active_calibration_family, stream_plan_token
         from ..plan import Planner, Workload
         from ..plan.planner import existing_token
@@ -474,7 +475,9 @@ class PolicyEngine:
         if not isinstance(workload, Workload):
             workload = Workload.from_queries(self.policy.domain, workload)
         cache = self.plan_cache
-        if cache is None:
+        # a fixed-mode compile scores one candidate per group, so caching
+        # it saves nothing, while storing it would fingerprint every query
+        if cache is None or not optimize:
             plan = Planner(self).plan(
                 workload,
                 optimize=optimize,
@@ -593,22 +596,6 @@ class PolicyEngine:
         plan = self.plan(self.workload(queries), optimize=False)
         result = self.execute(plan, db, rng=rng, releases=releases, accountant=accountant)
         return result.answers
-
-    def answer_ranges(
-        self, los, his, db: Database | None = None, *, rng=None, release=None
-    ) -> np.ndarray:
-        """Vectorized range answers straight from index arrays (hot path)."""
-        if release is None:
-            release = self.release(self._require_db(db, "range"), "range", rng=rng)
-        return release.ranges(np.asarray(los, np.int64), np.asarray(his, np.int64))
-
-    def answer_counts(
-        self, masks, db: Database | None = None, *, rng=None, release=None
-    ) -> np.ndarray:
-        """Vectorized count answers for a stack of support masks."""
-        if release is None:
-            release = self.release(self._require_db(db, "histogram"), "histogram", rng=rng)
-        return release.counts(masks)
 
     def new_linear_release(self) -> "ReleasedLinear":
         """A fresh row-reuse store for :meth:`answer_linear` (executor hook)."""

@@ -16,6 +16,7 @@ plan-level release sharing the planner exploits.
 from __future__ import annotations
 
 import hashlib
+import sys
 
 import numpy as np
 
@@ -43,6 +44,7 @@ __all__ = [
     "Workload",
     "WorkloadSkeleton",
     "FAMILY_ORDER",
+    "ANY_AGE",
     "validate_range_arrays",
 ]
 
@@ -67,6 +69,11 @@ def validate_range_arrays(los: np.ndarray, his: np.ndarray, domain: Domain, path
 #: order of the pre-planner ``PolicyEngine.answer`` so that fixed-mode plans
 #: consume the caller's rng stream identically (bitwise-stable answers).
 FAMILY_ORDER = ("range", "count", "linear")
+
+#: A ``max_staleness`` that admits a held release of any age: the
+#: ``"answer"`` op's rule on streams, where a release once paid for keeps
+#: serving for free however many ticks pass.
+ANY_AGE = sys.maxsize
 
 
 class QueryGroup:

@@ -3,6 +3,8 @@ statistics exposed by ``"describe"``."""
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -62,19 +64,6 @@ class TestPlanOp:
         assert again["meta"]["epsilon_spent"] == 0.0
         assert again["answers"] == resp["answers"]
 
-    def test_fixed_mode_is_bitwise_identical_to_answer(self, domain, service):
-        common = {
-            **_base(domain),
-            "dataset": {"name": "data"},
-            "queries": MIXED_QUERIES,
-            "seed": 7,
-        }
-        answered = service.handle(common)
-        planned = service.handle({**common, "op": "plan", "mode": "fixed"})
-        assert answered["ok"] and planned["ok"]
-        assert planned["answers"] == answered["answers"]
-        assert planned["plan"]["mode"] == "fixed"
-
     def test_workload_spec_shape_is_accepted(self, domain, service):
         workload = {
             "kind": "workload",
@@ -97,6 +86,127 @@ class TestPlanOp:
         )
         assert not resp["ok"]
         assert resp["error"]["field"] == "request.mode"
+
+
+#: ``op: "answer"`` request sequences, each sent in order to a fresh service.
+#: The second request of a named session must be served from the held
+#: release; an ephemeral repeat must release again.
+GOLDEN_CASES = {
+    "range_batch": [
+        {"queries": {"kind": "range_batch", "los": [0, 5, 17, 40, 64, 100],
+                     "his": [127, 9, 80, 40, 90, 120]},
+         "session": "g", "seed": 7},
+        {"queries": {"kind": "range_batch", "los": [3, 0], "his": [50, 0]},
+         "session": "g", "seed": 8},
+    ],
+    "range_list": [
+        {"queries": [{"kind": "range", "lo": 5, "hi": 60},
+                     {"kind": "range", "lo": 0, "hi": 127}],
+         "session": "g", "seed": 3},
+        {"queries": [{"kind": "range", "lo": 20, "hi": 21}], "session": "g", "seed": 4},
+    ],
+    "mixed": [
+        {"queries": MIXED_QUERIES + [
+            {"kind": "linear", "weights": [float(i % 3) for i in range(3_000)]}],
+         "session": "g", "seed": 7},
+        {"queries": MIXED_QUERIES, "session": "g", "seed": 9},
+    ],
+    "inline": [
+        {"dataset": {"indices": [int(i) for i in np.arange(200) * 37 % 128]},
+         "queries": MIXED_QUERIES, "session": "g", "seed": 1},
+        {"dataset": {"indices": [int(i) for i in np.arange(200) * 37 % 128]},
+         "queries": MIXED_QUERIES, "session": "g", "seed": 2},
+    ],
+    "ephemeral": [
+        {"queries": MIXED_QUERIES, "seed": 5},
+        {"queries": MIXED_QUERIES, "seed": 5},
+    ],
+    "budget_refusal": [
+        # the range release fits the budget, the histogram is refused
+        {"queries": MIXED_QUERIES, "session": "b", "budget": 0.75, "seed": 6},
+        {"queries": [{"kind": "range", "lo": 0, "hi": 99}], "session": "b", "seed": 6},
+    ],
+}
+
+#: per response: (sha256 of the float64 answers, epsilon_spent,
+#: session_total, release_cache, strategies), or the error kind of a
+#: refused request.  Captured from the dedicated ``"answer"`` handler that
+#: preceded the shared plan path; they pin that the op's answers, spends
+#: and family-keyed metadata did not move.
+_OH = {"range": {"family": "range", "strategy": "ordered-hierarchical"}}
+_HIST = {
+    "histogram": {
+        "family": "histogram",
+        "scale": 4.0,
+        "sensitivity": 2.0,
+        "strategy": "laplace-histogram",
+    }
+}
+_LINEAR = {"linear": {"family": "linear", "strategy": "batch-linear"}}
+_MIXED_MISS = {"histogram": "miss", "range": "miss"}
+_MIXED_HIT = {"histogram": "hit", "range": "hit"}
+
+GOLDEN = {
+    "budget_refusal": [
+        "budget_exhausted",
+        ("4d1ec07eab80a6b107a1ffc821abe1fbfec30c9e5b57381bca268ac8cada46d7",
+         0.0, 0.5, {"range": "hit"}, _OH),
+    ],
+    "ephemeral": [
+        ("80c3c28c186b39ed5ea0026c6b8c74b7f5eb1ade7f00433a6e3688df0cfa0cde",
+         1.0, 1.0, _MIXED_MISS, {**_HIST, **_OH}),
+        ("80c3c28c186b39ed5ea0026c6b8c74b7f5eb1ade7f00433a6e3688df0cfa0cde",
+         1.0, 1.0, _MIXED_MISS, {**_HIST, **_OH}),
+    ],
+    "inline": [
+        ("61de2866c4ebcbc3c532dee91a7ba8679bee53a0fce8d2f85ce71dbde7f3f3ba",
+         1.0, 1.0, _MIXED_MISS, {**_HIST, **_OH}),
+        ("61de2866c4ebcbc3c532dee91a7ba8679bee53a0fce8d2f85ce71dbde7f3f3ba",
+         0.0, 1.0, _MIXED_HIT, {**_HIST, **_OH}),
+    ],
+    "mixed": [
+        ("5c4506ff5fd01f0efe20e988faa337bb029f827ad6fa3248a695b6136e01dd2e",
+         1.5, 1.5, {**_MIXED_MISS, "linear": "miss"}, {**_HIST, **_LINEAR, **_OH}),
+        ("292a188b56383613798bb165c7281a2d7c0804346f4cddbbce61912abf0b9879",
+         0.0, 1.5, _MIXED_HIT, {**_HIST, **_OH}),
+    ],
+    "range_batch": [
+        ("db1285eea11c1d02aa2484bebb183bc69362d5272b7f9ff5f9363bb1cf2722af",
+         0.5, 0.5, {"range": "miss"}, _OH),
+        ("0063b3e4bd7c98eca5d3353ff65f5869da6f2e6ae52ee5f424750be56c22f0c8",
+         0.0, 0.5, {"range": "hit"}, _OH),
+    ],
+    "range_list": [
+        ("e1174f66cb7d5966fc45d0807f5d6d09a6327f88927962b7f44c9d862d5049f0",
+         0.5, 0.5, {"range": "miss"}, _OH),
+        ("a05fd1602e70c1531b70813b74d43cd5d77664a6c7b453af5eadb2e151678872",
+         0.0, 0.5, {"range": "hit"}, _OH),
+    ],
+}
+
+
+def _observed(response):
+    if not response["ok"]:
+        return response["error"]["kind"]
+    assert response["op"] == "answer" and "plan" not in response
+    meta = response["meta"]
+    digest = hashlib.sha256(np.asarray(response["answers"], np.float64).tobytes())
+    return (
+        digest.hexdigest(),
+        meta["epsilon_spent"],
+        meta["session_total"],
+        meta["release_cache"],
+        meta["strategies"],
+    )
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+def test_answer_op_matches_golden(case, domain, service):
+    observed = [
+        _observed(service.handle({**_base(domain), "dataset": {"name": "data"}, **req}))
+        for req in GOLDEN_CASES[case]
+    ]
+    assert observed == GOLDEN[case]
 
 
 class TestExplainOp:

@@ -20,6 +20,7 @@ from repro import (
     Policy,
     PolicyEngine,
     RangeQuery,
+    Workload,
 )
 from repro.api import BlowfishService, EnginePool, Session
 from repro.engine import policy_fingerprint
@@ -45,6 +46,12 @@ def _mixed_queries(domain, db, n_ranges=150, seed=11):
     queries.append(CountQuery.from_mask(domain, np.arange(domain.size) % 3 == 0))
     queries.append(LinearQuery(domain, np.full(db.n, 0.5)))
     return queries
+
+
+def _answer(session, queries, rng):
+    """The ``"answer"`` op's session call: a fixed-dispatch plan, run."""
+    workload = Workload.from_queries(session.db.domain, queries)
+    return session.plan_execute_with_meta(workload, optimize=False, rng=rng)[2:]
 
 
 class TestEnginePool:
@@ -86,25 +93,25 @@ class TestSession:
         engine = pool.get(Policy.line(domain), 0.5)
         session = Session(engine, db, budget=1.0)
         queries = [RangeQuery(domain, 5, 50), RangeQuery(domain, 0, 199)]
-        first = session.answer(queries, rng=0)
+        first, _ = _answer(session, queries, rng=0)
         assert session.spent == pytest.approx(0.5)
         # repeats are free post-processing with identical answers
-        second = session.answer(queries, rng=1)
+        second, _ = _answer(session, queries, rng=1)
         assert np.array_equal(first, second)
         assert session.spent == pytest.approx(0.5)
 
     def test_sessions_are_isolated_on_a_shared_engine(self, domain, db):
         engine = EnginePool().get(Policy.line(domain), 0.5)
         s1, s2 = Session(engine, db), Session(engine, db)
-        a1 = s1.answer([RangeQuery(domain, 1, 9)], rng=0)
-        a2 = s2.answer([RangeQuery(domain, 1, 9)], rng=1)
+        a1, _ = _answer(s1, [RangeQuery(domain, 1, 9)], rng=0)
+        a2, _ = _answer(s2, [RangeQuery(domain, 1, 9)], rng=1)
         assert s1.spent == s2.spent == pytest.approx(0.5)
         assert not np.array_equal(a1, a2)  # independent releases
 
     def test_budget_refused_before_release(self, domain, db):
         session = Session(EnginePool().get(Policy.line(domain), 0.5), db, budget=0.4)
         with pytest.raises(RuntimeError, match="budget exhausted"):
-            session.answer([RangeQuery(domain, 1, 9)], rng=0)
+            _answer(session, [RangeQuery(domain, 1, 9)], rng=0)
         assert session.spent == 0.0
 
     def test_domain_mismatch_rejected(self, domain, db):
@@ -115,10 +122,10 @@ class TestSession:
 
     def test_answer_with_meta_reports_cache_state(self, domain, db):
         session = Session(EnginePool().get(Policy.line(domain), 0.5), db)
-        _, meta = session.answer_with_meta([RangeQuery(domain, 0, 10)], rng=0)
+        _, meta = _answer(session, [RangeQuery(domain, 0, 10)], rng=0)
         assert meta["release_cache"] == {"range": "miss"}
         assert meta["epsilon_spent"] == pytest.approx(0.5)
-        _, meta = session.answer_with_meta([RangeQuery(domain, 3, 12)], rng=0)
+        _, meta = _answer(session, [RangeQuery(domain, 3, 12)], rng=0)
         assert meta["release_cache"] == {"range": "hit"}
         assert meta["epsilon_spent"] == 0.0
 

@@ -84,6 +84,8 @@ class ServerHarness:
         self.server: BlowfishHTTPServer | None = None
         self.loop: asyncio.AbstractEventLoop | None = None
         self.address: tuple[str, int] | None = None
+        #: set once the drain was scheduled; it must be scheduled only once
+        self._closing = False
         self._thread = threading.Thread(
             target=self._run, args=(service, options), daemon=True
         )
@@ -119,6 +121,7 @@ class ServerHarness:
     def begin_close(self, deadline: float | None = None) -> None:
         """Kick off the graceful drain without waiting for it."""
         server, loop = self.server, self.loop
+        self._closing = True
 
         def _go():
             loop.create_task(server.close(deadline=deadline))
@@ -126,8 +129,10 @@ class ServerHarness:
         loop.call_soon_threadsafe(_go)
 
     def close(self, deadline: float | None = None) -> None:
+        """Drain (unless :meth:`begin_close` already started it) and join."""
         if (
-            self.server is not None
+            not self._closing
+            and self.server is not None
             and self.loop is not None
             and self._thread.is_alive()
         ):

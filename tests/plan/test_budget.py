@@ -194,7 +194,7 @@ class TestDegradation:
         engine = PolicyEngine(Policy.distance_threshold(domain, 2), 0.5)
         session = Session(engine, db, budget=0.4)
         with pytest.raises(BudgetExceededError):
-            session.plan(
+            session.plan_with_meta(
                 _mixed_workload(domain, db), budget=PlanBudget(total=1.0)
             )
         assert session.accountant.spends == []
@@ -204,14 +204,15 @@ class TestDegradation:
         engine = PolicyEngine(Policy.distance_threshold(domain, 2), 0.5)
         session = Session(engine, db, budget=0.4)
         wl = _mixed_workload(domain, db, linear_optional=True)
-        plan = session.plan(
-            wl, budget=PlanBudget(total=1.0, degradation="drop_optional")
+        plan, _, answers, meta = session.plan_execute_with_meta(
+            wl,
+            budget=PlanBudget(total=1.0, degradation="drop_optional"),
+            rng=np.random.default_rng(0),
         )
         step = plan.step_for("linear")
         assert step.degradation == "dropped"
         assert step.epsilon == 0.0
         assert plan.total_epsilon == pytest.approx(0.4)  # clamped to remaining
-        answers, meta = session.execute_plan(plan, rng=np.random.default_rng(0))
         assert meta["degraded"] == {"dropped": ["linear"]}
         assert np.isnan(answers[-1])  # the linear query's slot
         assert not np.isnan(answers[:-1]).any()
@@ -222,7 +223,7 @@ class TestDegradation:
         session = Session(engine, db, budget=0.4)
         # nothing optional, uniform charge cannot shrink: degrade has no move
         with pytest.raises(BudgetExceededError):
-            session.plan(
+            session.plan_with_meta(
                 _mixed_workload(domain, db),
                 budget=PlanBudget(uniform=0.5, degradation="drop_optional"),
             )
@@ -233,13 +234,17 @@ class TestDegradation:
         # under a constrained budget, reuse_stale repins onto the stale one
         engine = PolicyEngine(Policy.distance_threshold(domain, 2), 0.5)
         session = Session(engine, db, budget=1.0)
-        session.answer_ranges([0], [99], rng=np.random.default_rng(0))
+        session.plan_execute_with_meta(
+            Workload.ranges(domain, [0], [99]), optimize=False, rng=np.random.default_rng(0)
+        )
         assert session.spent == pytest.approx(0.5)
         wl = _mixed_workload(domain, db)
-        unconstrained = session.plan(wl)
+        unconstrained, _ = session.plan_with_meta(wl)
         assert unconstrained.step_for("range").release == "range:ordered"
-        plan = session.plan(
-            wl, budget=PlanBudget(total=1.0, degradation="reuse_stale")
+        plan, _, answers, meta = session.plan_execute_with_meta(
+            wl,
+            budget=PlanBudget(total=1.0, degradation="reuse_stale"),
+            rng=np.random.default_rng(1),
         )
         range_step = plan.step_for("range")
         assert range_step.degradation == "stale"
@@ -251,7 +256,6 @@ class TestDegradation:
         linear_step = plan.step_for("linear")
         assert linear_step.degradation is None
         assert 0 < linear_step.epsilon <= 0.5 + 1e-9
-        answers, meta = session.execute_plan(plan, rng=np.random.default_rng(1))
         assert "stale" in meta["degraded"]
         assert not np.isnan(answers).any()
         assert session.spent <= 1.0 + 1e-9
@@ -262,20 +266,24 @@ class TestDegradation:
         engine = PolicyEngine(Policy.distance_threshold(domain, 2), 0.5)
         session = Session(engine, db, budget=2.0)
         wl = _mixed_workload(domain, db)
-        first = session.plan(wl, budget=PlanBudget(total=1.9))
-        session.execute_plan(first, rng=np.random.default_rng(0))
+        session.plan_execute_with_meta(
+            wl, budget=PlanBudget(total=1.9), rng=np.random.default_rng(0)
+        )
         assert session.remaining() == pytest.approx(0.1)
-        free = session.plan(wl, budget=PlanBudget(total=1.0, degradation="strict"))
+        free, _, answers, meta = session.plan_execute_with_meta(
+            wl,
+            budget=PlanBudget(total=1.0, degradation="strict"),
+            rng=np.random.default_rng(1),
+        )
         assert free.total_epsilon == 0.0
         assert all(s.degradation is None for s in free.steps)
-        answers, meta = session.execute_plan(free, rng=np.random.default_rng(1))
         assert meta["epsilon_spent"] == 0.0
 
     def test_unconstrained_budget_never_degrades(self, domain, db):
         # plenty of remaining budget: degradation mode is irrelevant
         engine = PolicyEngine(Policy.distance_threshold(domain, 2), 0.5)
         session = Session(engine, db, budget=10.0)
-        plan = session.plan(
+        plan, _ = session.plan_with_meta(
             _mixed_workload(domain, db, linear_optional=True),
             budget=PlanBudget(total=1.0, degradation="drop_optional"),
         )
@@ -395,7 +403,7 @@ class TestBudgetedPlanSpecs:
             assert needle in report, report
 
     def test_switching_calibration_fits_keys_out_cached_plans(self, domain, db):
-        from repro.analysis.bounds import set_active_calibration
+        from repro.analysis.bounds import calibration
         from repro.api import EnginePool
 
         pool = EnginePool()
@@ -405,8 +413,7 @@ class TestBudgetedPlanSpecs:
         assert outcome1 == "miss"
         assert plan1.cost_model == "synthetic-grid"
         assert engine.plan_with_meta(wl)[1] == "hit"
-        previous = set_active_calibration("uniform")
-        try:
+        with calibration("uniform"):
             plan2, outcome2 = engine.plan_with_meta(wl)
             # a different fit scored this one: never served from the cache
             assert outcome2 == "miss"
@@ -415,8 +422,6 @@ class TestBudgetedPlanSpecs:
             # though the active fit has moved on
             assert "cost model: synthetic-grid" in plan1.explain()
             assert "cost model: uniform" in plan2.explain()
-        finally:
-            set_active_calibration(previous)
 
     def test_optional_flag_survives_workload_specs(self, domain, db):
         wl = _mixed_workload(domain, db, linear_optional=True)

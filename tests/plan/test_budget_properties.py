@@ -153,7 +153,9 @@ def test_strict_mode_raises_before_any_spend(workload, total, engine):
     # at planning time with a pristine ledger
     session = Session(engine, DB, budget=total / 2)
     with pytest.raises(BudgetExceededError):
-        session.plan(workload, budget=PlanBudget(total=total, degradation="strict"))
+        session.plan_with_meta(
+            workload, budget=PlanBudget(total=total, degradation="strict")
+        )
     assert session.accountant.spends == []
     assert session.releases == {}
     assert session.spent == 0.0

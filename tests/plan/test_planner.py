@@ -143,11 +143,13 @@ class TestPlannerChoices:
         engine = PolicyEngine(Policy.line(domain), 0.5)
         session = Session(engine, db)
         w1 = np.ones((1, db.n))
-        session.execute_plan(session.plan(Workload(domain, [QueryGroup.linear(w1)])), rng=0)
+        session.plan_execute_with_meta(Workload(domain, [QueryGroup.linear(w1)]), rng=0)
         # same rows: predicted free; genuinely new rows: predicted charge
-        same = session.plan(Workload(domain, [QueryGroup.linear(w1)]))
+        same, _ = session.plan_with_meta(Workload(domain, [QueryGroup.linear(w1)]))
         assert same.step_for("linear").epsilon == 0.0
-        other = session.plan(Workload(domain, [QueryGroup.linear(np.full((1, db.n), 3.0))]))
+        other, _ = session.plan_with_meta(
+            Workload(domain, [QueryGroup.linear(np.full((1, db.n), 3.0))])
+        )
         assert other.step_for("linear").epsilon == pytest.approx(0.5)
         assert other.total_epsilon == pytest.approx(0.5)
 

@@ -8,6 +8,7 @@ from repro.api import BlowfishService, Session
 from repro.api.ledger import InMemoryLedgerStore
 from repro.core.composition import BudgetExceededError
 from repro.plan import QueryGroup
+from repro.plan.workload import ANY_AGE
 from repro.stream import (
     COUNTER_KEY,
     StreamBudget,
@@ -47,11 +48,13 @@ def test_attached_session_follows_ticks():
     stream, batches = _feed()
     session = Session(_engine(), stream.snapshot()).attach_stream(stream)
     _tick(stream, batches[0])
-    session.answer_ranges([0], [SIZE - 1], rng=np.random.default_rng(0))
+    # the "answer" op's read: fixed dispatch, held releases serve at any age
+    read = _workload(max_staleness=ANY_AGE)
+    session.plan_execute_with_meta(read, optimize=False, rng=np.random.default_rng(0))
     assert session.db.n == batches[0].size
     assert session.release_ticks["range"] == 0
     _tick(stream, batches[1])
-    session.answer_ranges([0], [SIZE - 1], rng=np.random.default_rng(0))
+    session.plan_execute_with_meta(read, optimize=False, rng=np.random.default_rng(0))
     assert session.db.n == batches[0].size + batches[1].size
 
 
@@ -186,7 +189,7 @@ def test_stream_budget_requires_attached_stream_state():
     db = StreamDataset(DOMAIN, [1, 2, 3]).snapshot()
     session = Session(_engine(), db)
     with pytest.raises(ValueError):
-        session.plan(_workload(), budget=StreamBudget(1.0, horizon=4))
+        session.plan_with_meta(_workload(), budget=StreamBudget(1.0, horizon=4))
 
 
 def test_explain_path_spends_nothing_on_streams():
