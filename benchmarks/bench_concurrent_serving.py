@@ -121,7 +121,8 @@ def test_concurrent_totals_and_plan_cache_speedup():
         plan_warm, state = engine.plan_with_meta(workload)
         warm = min(warm, time.perf_counter() - t0)
         assert state == "hit"
-        assert plan_warm is plan_cold  # the cached object itself
+        # cached plans are stored payload-free and re-bound on every hit
+        assert plan_warm.fingerprint() == plan_cold.fingerprint()
 
     # cached plans execute bitwise-identically to cold-compiled ones
     service.pool.plan_cache.clear()

@@ -33,9 +33,10 @@ class Database:
     """An ``n``-tuple dataset over a :class:`~repro.core.domain.Domain`.
 
     Instances are immutable: update-style operations return new databases.
+    The dense histogram is counted once, on first use, and kept.
     """
 
-    __slots__ = ("domain", "_indices")
+    __slots__ = ("domain", "_indices", "_histogram")
 
     def __init__(self, domain: Domain, indices: np.ndarray):
         indices = np.asarray(indices, dtype=np.int64)
@@ -46,6 +47,7 @@ class Database:
         self.domain = domain
         self._indices = indices
         self._indices.setflags(write=False)
+        self._histogram = None
 
     # -- constructors -----------------------------------------------------------
     @classmethod
@@ -135,13 +137,20 @@ class Database:
 
     # -- aggregates ---------------------------------------------------------------
     def histogram(self) -> np.ndarray:
-        """Complete histogram ``h(D)``: counts per domain cell (dense)."""
-        if self.domain.size > MAX_DENSE_HISTOGRAM:
-            raise ValueError(
-                f"domain too large ({self.domain.size} cells) for a dense histogram; "
-                "use sparse_histogram()"
-            )
-        return np.bincount(self._indices, minlength=self.domain.size).astype(np.float64)
+        """Complete histogram ``h(D)``: counts per domain cell (dense).
+
+        Each call returns a fresh copy of the counts kept from the first.
+        """
+        if self._histogram is None:
+            if self.domain.size > MAX_DENSE_HISTOGRAM:
+                raise ValueError(
+                    f"domain too large ({self.domain.size} cells) for a dense histogram; "
+                    "use sparse_histogram()"
+                )
+            self._histogram = np.bincount(
+                self._indices, minlength=self.domain.size
+            ).astype(np.float64)
+        return self._histogram.copy()
 
     def sparse_histogram(self) -> dict[int, int]:
         """Complete histogram as a ``{domain index: count}`` dict."""

@@ -174,13 +174,16 @@ class BatchLinearMechanism(Mechanism):
     def scale(self) -> float:
         return self.sensitivity / self.epsilon
 
-    def release(self, db: Database, rng=None) -> np.ndarray:
-        self._check_db(db)
+    def _check_db(self, db: Database) -> None:
+        super()._check_db(db)
         if db.n != self.weights.shape[1]:
             raise ValueError(
                 f"weight matrix has {self.weights.shape[1]} columns but the "
                 f"database has {db.n} tuples"
             )
+
+    def release(self, db: Database, rng=None) -> np.ndarray:
+        self._check_db(db)
         rng = self._rng(rng)
         values = db.points()[:, 0]
         answers = self.weights @ values
@@ -636,6 +639,7 @@ class PolicyEngine:
             ):
                 mech = BatchLinearMechanism(self.policy, eps, weights)
                 database = self._require_db(db, "linear")
+                mech._check_db(database)  # refuse a misshapen query before the charge
                 self._spend("linear", accountant, epsilon=eps)
                 return mech.release(database, rng=ensure_rng(rng))
         missing = release.missing_rows(weights)
@@ -650,6 +654,7 @@ class PolicyEngine:
             ):
                 mech = BatchLinearMechanism(self.policy, eps, fresh)
                 database = self._require_db(db, "linear")
+                mech._check_db(database)
                 self._spend("linear", accountant, epsilon=eps)
                 release.add(fresh, mech.release(database, rng=ensure_rng(rng)))
         return release.answers_for(weights)

@@ -20,18 +20,23 @@ __all__ = ["Mechanism", "laplace_noise"]
 
 def laplace_noise(
     rng: np.random.Generator,
-    scale: float,
+    scale: float | np.ndarray,
     size: int | tuple[int, ...],
 ) -> np.ndarray:
     """Draw Laplace noise with the given scale (``b`` in ``Lap(b)``).
+
+    ``scale`` may also be an array broadcast against ``size``, one scale
+    per element (e.g. per tree level).  The elements are drawn in C order,
+    each exactly as a scalar call with its own scale would draw it; an
+    element whose scale is 0 comes out exact but still advances ``rng``.
 
     ``scale == 0`` (a query with zero policy-specific sensitivity, e.g. a
     histogram under partitioned secrets at the partition's granularity)
     yields exact answers — the zero vector.
     """
-    if scale < 0:
+    if np.min(scale) < 0:
         raise ValueError("scale must be non-negative")
-    if scale == 0:
+    if np.max(scale) == 0:
         return np.zeros(size, dtype=np.float64)
     return rng.laplace(loc=0.0, scale=scale, size=size)
 

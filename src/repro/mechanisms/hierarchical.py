@@ -14,6 +14,15 @@ weighted two-pass algorithm (inverse-variance averaging up, discrepancy
 distribution down), which reduces to Hay et al.'s closed form for uniform
 variances and additionally handles exact roots, unmeasured levels and the
 heterogeneous scales of the ordered hierarchical tree.
+
+Every tree mechanism builds and reconciles its trees through the two batched
+kernels here, working on a *forest* of ``k`` equally shaped trees held as
+one ``(k, f**l)`` array per level: :func:`noisy_forest` sums the levels and
+adds all the noise in one draw, and :func:`consistent_forest` runs the GLS
+up/down pass over all ``k`` trees at once.  Hay's mechanism and the
+quadtree are forests of one tree; the ordered hierarchical mechanism is one
+tree per theta-segment.  :class:`NoisyTree` is the single-tree view used
+for raw canonical-range answering.
 """
 
 from __future__ import annotations
@@ -27,7 +36,112 @@ from ..core.policy import Policy
 from ..core.sensitivity import histogram_sensitivity
 from .base import Mechanism, laplace_noise
 
-__all__ = ["NoisyTree", "HierarchicalMechanism", "ReleasedRangeAnswerer"]
+__all__ = [
+    "noisy_forest",
+    "consistent_forest",
+    "NoisyTree",
+    "HierarchicalMechanism",
+    "ReleasedRangeAnswerer",
+]
+
+
+def noisy_forest(
+    leaves: np.ndarray,
+    fanout: int,
+    height: int,
+    scales,
+    rng: np.random.Generator,
+) -> tuple[list[np.ndarray], list[float]]:
+    """Noisy node counts of ``k`` complete ``fanout``-ary trees at once.
+
+    ``leaves`` is the ``(k, fanout**height)`` array of true leaf counts, one
+    row per tree, and ``scales[l - 1]`` the Laplace scale of level ``l`` for
+    ``l = 1..height``.  Returns ``(values, variances)``: ``values[l]`` is the
+    ``(k, fanout**l)`` array of level ``l`` and ``variances[l]`` its per-node
+    noise variance.  The roots (level 0) stay exact, with variance ``0.0``.
+
+    All noise is one draw of shape ``(k, sum_l fanout**l)``, whose C order is
+    tree-major and level-minor: the order in which a loop over the trees,
+    then over their levels top-down, would draw it.  So a tree's noise does
+    not depend on how many trees share the draw.
+    """
+    f, h = int(fanout), int(height)
+    leaves = np.asarray(leaves, dtype=np.float64)
+    k = leaves.shape[0]
+    widths = [f**l for l in range(h + 1)]
+    if leaves.shape != (k, widths[h]):
+        raise ValueError(f"leaves must have shape (k, {widths[h]})")
+    scales = [float(s) for s in scales]
+    if len(scales) != h:
+        raise ValueError("need one scale per level below the root")
+    offsets = np.cumsum([0] + widths).tolist()
+    flat = np.empty((k, offsets[-1]), dtype=np.float64)
+    values = [flat[:, offsets[l] : offsets[l + 1]] for l in range(h + 1)]
+    values[h][:] = leaves
+    for l in range(h - 1, -1, -1):
+        values[l][:] = values[l + 1].reshape(k, -1, f).sum(axis=2)
+    if h:
+        # a scalar scale takes numpy's faster sampling loop; the draws are the same
+        scale = scales[0] if len(set(scales)) == 1 else np.repeat(scales, widths[1:])
+        flat[:, 1:] += laplace_noise(rng, scale, (k, offsets[-1] - 1))
+    variances = [0.0] + [2.0 * s**2 if s > 0 else 0.0 for s in scales]
+    return values, variances
+
+
+def consistent_forest(
+    values: list[np.ndarray], variances: list[float], fanout: int
+) -> np.ndarray:
+    """Minimum-variance leaf estimates consistent with every tree's sums.
+
+    ``values[l]`` is the ``(k, fanout**l)`` level array of ``k`` trees that
+    share the per-level variances ``variances[l]`` (``0.0`` for an exact
+    level, ``inf`` for an unmeasured one); returns the ``(k, fanout**h)``
+    leaf estimates.
+
+    Pass 1 (up): combine each node's own measurement with the sum of its
+    children's combined estimates by inverse-variance weighting.
+    Pass 2 (down): spread each node's residual over its children in
+    proportion to their estimate variances (the GLS projection onto the sum
+    constraint).  With equal variances this is exactly Hay et al.'s
+    ``z_bar``/``h_bar`` recursion.  A node's estimate variance depends only
+    on its level, so the variances are computed once for all ``k`` trees.
+    """
+    f, h = fanout, len(values) - 1
+    if not math.isfinite(variances[h]):
+        raise ValueError("leaf level must be measured")
+    k = values[h].shape[0]
+    est = [None] * (h + 1)
+    var = [None] * (h + 1)
+    child_sums = [None] * h
+    child_vars = [None] * h
+    est[h] = values[h]
+    var[h] = np.full(f**h, variances[h])
+    for l in range(h - 1, -1, -1):
+        child_sum = child_sums[l] = est[l + 1].reshape(k, -1, f).sum(axis=2)
+        child_var = child_vars[l] = var[l + 1].reshape(-1, f).sum(axis=1)
+        own_var = variances[l]
+        if own_var == 0.0:
+            est[l] = values[l]
+            var[l] = np.zeros(f**l)
+        elif math.isinf(own_var):
+            est[l] = child_sum
+            var[l] = child_var
+        else:
+            inv = 1.0 / own_var + 1.0 / child_var
+            var[l] = 1.0 / inv
+            est[l] = var[l] * (values[l] / own_var + child_sum / child_var)
+    # top-down: reconcile children with each node's final value
+    final = est[0].copy()
+    for l in range(h):
+        child_var = var[l + 1].reshape(-1, f)
+        group_var = child_vars[l][:, None]
+        residual = final - child_sums[l]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            share = np.where(
+                group_var > 0, child_var / np.maximum(group_var, 1e-300), 1.0 / f
+            )
+        final = (est[l + 1].reshape(k, -1, f) + share * residual[:, :, None]).reshape(k, -1)
+    return final
 
 
 class NoisyTree:
@@ -59,54 +173,10 @@ class NoisyTree:
     def n_leaves(self) -> int:
         return self.fanout**self.height
 
-    # -- constrained inference ---------------------------------------------------
     def consistent_leaves(self) -> np.ndarray:
-        """Minimum-variance leaf estimates consistent with all tree sums.
-
-        Pass 1 (up): combine each node's own measurement with the sum of its
-        children's combined estimates by inverse-variance weighting.
-        Pass 2 (down): spread each node's residual over its children in
-        proportion to their estimate variances (the GLS projection onto the
-        sum constraint).  With equal variances this is exactly Hay et al.'s
-        ``z_bar``/``h_bar`` recursion.
-        """
-        f, h = self.fanout, self.height
-        est = [None] * (h + 1)
-        var = [None] * (h + 1)
-        est[h] = self.values[h].copy()
-        var[h] = np.full(f**h, self.variances[h])
-        if not np.all(np.isfinite(var[h])):
-            raise ValueError("leaf level must be measured")
-        for l in range(h - 1, -1, -1):
-            child_sum = est[l + 1].reshape(-1, f).sum(axis=1)
-            child_var = var[l + 1].reshape(-1, f).sum(axis=1)
-            own_var = self.variances[l]
-            if own_var == 0.0:
-                est[l] = self.values[l].copy()
-                var[l] = np.zeros(f**l)
-            elif math.isinf(own_var):
-                est[l] = child_sum
-                var[l] = child_var
-            else:
-                inv = 1.0 / own_var + 1.0 / child_var
-                var[l] = 1.0 / inv
-                est[l] = var[l] * (self.values[l] / own_var + child_sum / child_var)
-        # top-down: reconcile children with each node's final value
-        final = est[0]
-        for l in range(h):
-            child_est = est[l + 1].reshape(-1, f)
-            child_var = var[l + 1].reshape(-1, f)
-            group_sum = child_est.sum(axis=1)
-            group_var = child_var.sum(axis=1)
-            residual = final - group_sum
-            with np.errstate(invalid="ignore", divide="ignore"):
-                share = np.where(
-                    group_var[:, None] > 0,
-                    child_var / np.maximum(group_var[:, None], 1e-300),
-                    1.0 / f,
-                )
-            final = (child_est + share * residual[:, None]).reshape(-1)
-        return final
+        """Minimum-variance leaf estimates consistent with all tree sums
+        (:func:`consistent_forest` on a forest of one)."""
+        return consistent_forest([v[None] for v in self.values], self.variances, self.fanout)[0]
 
     # -- raw (no-inference) range answering ------------------------------------------
     def range_sum(self, lo: int, hi: int) -> float:
@@ -245,22 +315,11 @@ class HierarchicalMechanism(Mechanism):
 
     def _noisy_tree(self, leaf_counts: np.ndarray, rng: np.random.Generator) -> NoisyTree:
         f, h = self.fanout, self.height
-        padded = np.zeros(f**h, dtype=np.float64)
-        padded[: leaf_counts.size] = leaf_counts
-        values = [None] * (h + 1)
-        variances = [None] * (h + 1)
-        level = padded
-        values[h] = level
-        for l in range(h - 1, -1, -1):
-            level = level.reshape(-1, f).sum(axis=1)
-            values[l] = level
-        scales = self.level_scales()
-        for l in range(1, h + 1):
-            scale = float(scales[l - 1])
-            values[l] = values[l] + laplace_noise(rng, scale, values[l].shape)
-            variances[l] = 2.0 * scale**2 if scale > 0 else 0.0
-        variances[0] = 0.0  # root = public cardinality, exact
-        return NoisyTree(f, h, values, variances)
+        leaves = np.zeros((1, f**h), dtype=np.float64)
+        leaves[0, : leaf_counts.size] = leaf_counts
+        # the forest's roots stay exact: the root is the public cardinality
+        values, variances = noisy_forest(leaves, f, h, self.level_scales(), rng)
+        return NoisyTree(f, h, [v[0] for v in values], variances)
 
     def release(self, db: Database, rng=None) -> ReleasedRangeAnswerer:
         self._check_db(db)

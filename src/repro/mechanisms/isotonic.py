@@ -31,34 +31,33 @@ def isotonic_regression(
     if n == 0:
         return y.copy()
     if weights is None:
-        w = np.ones(n, dtype=np.float64)
+        w = [1.0] * n
     else:
         w = np.asarray(weights, dtype=np.float64)
         if w.shape != y.shape:
             raise ValueError("weights must match y in shape")
         if (w <= 0).any():
             raise ValueError("weights must be positive")
+        w = w.tolist()
 
-    # Each stack entry is a block: [mean, weight, count]
-    means = np.empty(n, dtype=np.float64)
-    wsums = np.empty(n, dtype=np.float64)
-    counts = np.empty(n, dtype=np.int64)
-    top = 0
-    for i in range(n):
-        means[top] = y[i]
-        wsums[top] = w[i]
-        counts[top] = 1
-        top += 1
-        # merge while the monotonicity is violated
-        while top > 1 and means[top - 2] > means[top - 1]:
-            tw = wsums[top - 2] + wsums[top - 1]
-            means[top - 2] = (
-                means[top - 2] * wsums[top - 2] + means[top - 1] * wsums[top - 1]
-            ) / tw
-            wsums[top - 2] = tw
-            counts[top - 2] += counts[top - 1]
-            top -= 1
-    return np.repeat(means[:top], counts[:top])
+    # The block stack lives in plain lists of Python floats, which round
+    # exactly like float64 but skip numpy's per-scalar indexing overhead.
+    means: list[float] = []
+    wsums: list[float] = []
+    counts: list[int] = []
+    for mean, weight in zip(y.tolist(), w):
+        count = 1
+        # merge into the block below while the monotonicity is violated
+        while means and means[-1] > mean:
+            below = wsums.pop()
+            tw = below + weight
+            mean = (means.pop() * below + mean * weight) / tw
+            weight = tw
+            count += counts.pop()
+        means.append(mean)
+        wsums.append(weight)
+        counts.append(count)
+    return np.repeat(np.array(means), counts)
 
 
 def project_cumulative(

@@ -15,6 +15,13 @@ segments of ``theta`` values:
   measured — boundary prefixes come from the S chain), so each H node is
   released with ``Lap(2h/eps_H)``.
 
+The ``k`` H trees are built as one forest
+(:func:`~repro.mechanisms.hierarchical.noisy_forest`, one noise draw for
+all segments, in the order a per-segment loop would draw it) and
+reconciled by one batched GLS pass
+(:func:`~repro.mechanisms.hierarchical.consistent_forest`); the segment
+totals from the S chain are then spread over all segments in one step.
+
 Any cumulative count is then ``S node + H prefix`` and any range query is a
 difference of two cumulative counts, giving the Eqn (13)/(14) error
 
@@ -44,7 +51,12 @@ import numpy as np
 from ..core.database import Database
 from ..core.policy import Policy
 from .base import Mechanism, laplace_noise
-from .hierarchical import NoisyTree, ReleasedRangeAnswerer
+from .hierarchical import (
+    NoisyTree,
+    ReleasedRangeAnswerer,
+    consistent_forest,
+    noisy_forest,
+)
 from .isotonic import isotonic_regression
 
 __all__ = [
@@ -230,53 +242,41 @@ class OrderedHierarchicalMechanism(Mechanism):
         s_true = cumulative[boundaries].astype(np.float64)
         s_noisy = s_true + laplace_noise(rng, self.s_scale, k)
 
-        trees: list[NoisyTree] = []
+        forest = None
         if h > 0:
-            seg_len = f**h
-            scale = self.h_scale
-            var = 2.0 * scale**2 if scale > 0 else 0.0
-            for seg in range(k):
-                start = seg * theta
-                stop = min(start + theta, self.size)
-                leaves = np.zeros(seg_len, dtype=np.float64)
-                leaves[: stop - start] = hist[start:stop]
-                values = [None] * (h + 1)
-                variances = [math.inf] + [var] * h
-                level = leaves
-                values[h] = level.copy()
-                for l in range(h - 1, -1, -1):
-                    level = level.reshape(-1, f).sum(axis=1)
-                    values[l] = level.copy()
-                for l in range(1, h + 1):
-                    values[l] = values[l] + laplace_noise(rng, scale, values[l].shape)
-                trees.append(NoisyTree(f, h, values, variances))
+            # one zero-padded row of leaves per segment
+            padded = np.zeros(k * theta, dtype=np.float64)
+            padded[: self.size] = hist
+            leaves = np.zeros((k, f**h), dtype=np.float64)
+            leaves[:, :theta] = padded.reshape(k, theta)
+            values, variances = noisy_forest(leaves, f, h, [self.h_scale] * h, rng)
+            variances[0] = math.inf  # segment roots are not measured
+            forest = (values, variances)
 
         if not self.consistent:
-            return _RawOHAnswerer(self, s_noisy, trees)
-        return self._consistent_answerer(db.n, s_noisy, trees)
+            return _RawOHAnswerer(self, s_noisy, forest)
+        return self._consistent_answerer(db.n, s_noisy, forest)
 
     def _consistent_answerer(
-        self, n: int, s_noisy: np.ndarray, trees: list[NoisyTree]
+        self, n: int, s_noisy: np.ndarray, forest: tuple | None
     ) -> ReleasedRangeAnswerer:
-        theta, k = self.theta, self.n_segments
-        # 1. monotone S chain clamped into [0, n]
+        theta, k, size = self.theta, self.n_segments, self.size
+        # 1. monotone S chain clamped into [0, n]; segment totals from it
         s_hat = np.clip(isotonic_regression(s_noisy), 0.0, float(n))
-        # 2. per-segment GLS leaves, reconciled with the chain's segment totals
-        leaves = np.zeros(self.size, dtype=np.float64)
-        prev = 0.0
-        for seg in range(k):
-            start = seg * theta
-            stop = min(start + theta, self.size)
-            length = stop - start
-            total = s_hat[seg] - prev
-            prev = s_hat[seg]
-            if trees:
-                seg_leaves = trees[seg].consistent_leaves()[:length]
-            else:
-                seg_leaves = np.zeros(length)
-            residual = total - seg_leaves.sum()
-            leaves[start:stop] = seg_leaves + residual / length
-        return ReleasedRangeAnswerer(self.size, prefix=np.cumsum(leaves))
+        totals = np.diff(s_hat, prepend=0.0)
+        # 2. per-segment GLS leaves, reconciled with the chain's segment
+        #    totals (the last segment may be shorter than theta)
+        if forest is None:
+            seg = np.zeros((k, 1))
+        else:
+            seg = consistent_forest(*forest, self.fanout)[:, :theta]
+        last = size - (k - 1) * theta
+        sums = seg.sum(axis=1)
+        sums[-1] = seg[-1, :last].sum()
+        lengths = np.full(k, theta)
+        lengths[-1] = last
+        leaves = seg + ((totals - sums) / lengths)[:, None]
+        return ReleasedRangeAnswerer(size, prefix=np.cumsum(leaves.reshape(-1)[:size]))
 
 
 class _RawOHAnswerer(ReleasedRangeAnswerer):
@@ -290,13 +290,13 @@ class _RawOHAnswerer(ReleasedRangeAnswerer):
     (O(|T| h f) Python work per histogram before).
     """
 
-    __slots__ = ("_mech", "_s", "_trees", "_pext")
+    __slots__ = ("_mech", "_s", "_forest", "_pext")
 
     def __init__(
         self,
         mech: OrderedHierarchicalMechanism,
         s_noisy: np.ndarray,
-        trees: list[NoisyTree],
+        forest: tuple | None,
     ):
         # bypass parent init: we answer through the OH structure directly
         self.size = mech.size
@@ -304,7 +304,7 @@ class _RawOHAnswerer(ReleasedRangeAnswerer):
         self._tree = None
         self._mech = mech
         self._s = s_noisy
-        self._trees = trees
+        self._forest = forest
         self._pext = None
 
     def prefix(self, j: int) -> float:
@@ -318,8 +318,11 @@ class _RawOHAnswerer(ReleasedRangeAnswerer):
         if j == boundary:
             return float(self._s[seg])
         base = 0.0 if seg == 0 else float(self._s[seg - 1])
-        local_j = j - seg * theta
-        return base + self._trees[seg].range_sum(0, local_j)
+        values, variances = self._forest
+        tree = NoisyTree(
+            self._mech.fanout, self._mech.height, [v[seg] for v in values], variances
+        )
+        return base + tree.range_sum(0, j - seg * theta)
 
     def range(self, lo: int, hi: int) -> float:
         if not 0 <= lo <= hi < self.size:
@@ -353,9 +356,7 @@ class _RawOHAnswerer(ReleasedRangeAnswerer):
             for l in range(1, h + 1):
                 m = (stop == 0) & ((j + 1) % span[l] == 0)
                 stop[m] = l
-            values = [None] + [
-                np.stack([t.values[l] for t in self._trees]) for l in range(1, h + 1)
-            ]
+            values = self._forest[0]
             # cumulative sums within each sibling group reproduce the scalar
             # left-to-right fold of fully covered children
             acc = np.zeros((k, theta), dtype=np.float64)

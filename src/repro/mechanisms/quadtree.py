@@ -9,9 +9,10 @@ same weighted-GLS constrained inference used by the 1-D trees.
 
 Implementation: cells are laid out in Morton (Z-) order, which makes every
 quadtree node a *contiguous* block of ``4^l`` leaves — so the complete
-4-ary :class:`~repro.mechanisms.hierarchical.NoisyTree` engine applies
-unchanged.  After inference the released cell estimates are turned into a
-summed-area table, answering any axis-aligned rectangle count in O(1).
+4-ary tree engine of :mod:`repro.mechanisms.hierarchical` (``noisy_forest``
+and ``consistent_forest`` on a forest of one tree) applies unchanged.
+After inference the released cell estimates are turned into a summed-area
+table, answering any axis-aligned rectangle count in O(1).
 
 Under a partitioned-secrets policy whose blocks refine the tree's nodes the
 per-level sensitivity drops to zero (the paper's partition|120000 effect);
@@ -27,8 +28,8 @@ import numpy as np
 from ..core.database import Database
 from ..core.policy import Policy
 from ..core.sensitivity import histogram_sensitivity
-from .base import Mechanism, laplace_noise
-from .hierarchical import NoisyTree
+from .base import Mechanism
+from .hierarchical import consistent_forest, noisy_forest
 
 __all__ = ["QuadtreeMechanism", "ReleasedGrid", "morton_order", "morton_indices"]
 
@@ -149,24 +150,12 @@ class QuadtreeMechanism(Mechanism):
         grid = self._grid_counts(db)
         # leaves in Morton order -> every quadtree node is contiguous
         leaves = grid.reshape(-1)[self._order]
-        f, h = 4, self.height
-        values = [None] * (h + 1)
-        variances = [None] * (h + 1)
-        level = leaves
-        values[h] = level.copy()
-        for l in range(h - 1, -1, -1):
-            level = level.reshape(-1, f).sum(axis=1)
-            values[l] = level.copy()
-        scale = self.scale
-        for l in range(1, h + 1):
-            values[l] = values[l] + laplace_noise(rng, scale, values[l].shape)
-            variances[l] = 2.0 * scale**2 if scale > 0 else 0.0
-        variances[0] = 0.0  # public cardinality
-        tree = NoisyTree(f, h, values, variances)
+        h = self.height
+        values, variances = noisy_forest(leaves[None], 4, h, [self.scale] * h, rng)
         if self.consistent:
-            est = tree.consistent_leaves()
+            est = consistent_forest(values, variances, 4)[0]
         else:
-            est = tree.values[h]
+            est = values[h][0]
         # back to row-major cells, cropped to the real grid
         cells = np.empty(self.side * self.side)
         cells[self._order] = est

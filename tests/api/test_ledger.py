@@ -277,3 +277,54 @@ class TestSharedLedgerServices:
         assert r4["ok"], r4
         assert r4["meta"]["epsilon_spent"] == 0.0
         assert r4["meta"]["session_total"] == pytest.approx(1.0)
+
+
+# -- refusals before the charge -------------------------------------------------------
+
+
+class TestMisshapenLinearRefusal:
+    """A linear query needs one weight per tuple; one that has not is
+    refused before the ledger is charged, fresh or against a held release."""
+
+    @pytest.fixture
+    def setting(self):
+        domain = Domain.integers("v", 128)
+        db = Database.from_indices(domain, np.random.default_rng(0).integers(0, 128, 3_000))
+        service = BlowfishService(ledger_store=InMemoryLedgerStore())
+        service.register_dataset("data", db)
+        base = {
+            "op": "answer",
+            "policy": Policy.line(domain).to_spec(),
+            "epsilon": 0.5,
+            "dataset": {"name": "data"},
+            "session": "analyst",
+        }
+        return service, base
+
+    @staticmethod
+    def _linear_total(service) -> float:
+        store = service.ledger_store
+        return sum(
+            e.epsilon for key in store.keys() for e in store.entries(key) if e.label == "linear"
+        )
+
+    def _linear(self, service, base, width, seed):
+        return service.handle(
+            {**base, "queries": [{"kind": "linear", "weights": [1.0] * width}], "seed": seed}
+        )
+
+    def test_fresh_release_refused_uncharged(self, setting):
+        service, base = setting
+        resp = self._linear(service, base, 128, seed=1)
+        assert not resp["ok"]
+        assert resp["error"]["kind"] == "invalid_request"
+        assert self._linear_total(service) == 0.0
+
+    def test_held_release_refused_uncharged(self, setting):
+        service, base = setting
+        assert self._linear(service, base, 3_000, seed=1)["ok"]
+        assert self._linear_total(service) == 0.5
+        resp = self._linear(service, base, 128, seed=2)
+        assert not resp["ok"]
+        assert resp["error"]["kind"] == "invalid_request"
+        assert self._linear_total(service) == 0.5

@@ -1,4 +1,4 @@
-"""Tests for the hierarchical mechanism and the NoisyTree GLS engine."""
+"""Tests for the hierarchical mechanism and the forest/NoisyTree GLS engine."""
 
 import math
 
@@ -7,6 +7,7 @@ import pytest
 
 from repro import Database, Domain, Policy
 from repro.mechanisms import HierarchicalMechanism, NoisyTree
+from repro.mechanisms.hierarchical import consistent_forest, noisy_forest
 
 HUGE_EPS = 1e9
 
@@ -92,6 +93,48 @@ class TestNoisyTree:
         leaves = np.ones(4)
         tree = exact_tree(2, 2, leaves, variances=[math.inf, 1.0, 1.0])
         assert tree.range_sum(0, 3) == pytest.approx(4.0)
+
+
+class TestForest:
+    """A batch of k trees is k trees built and reconciled one at a time."""
+
+    FANOUT, HEIGHT, K = 3, 3, 5
+
+    def _leaves(self):
+        rng = np.random.default_rng(0)
+        return rng.integers(0, 20, size=(self.K, self.FANOUT**self.HEIGHT)).astype(float)
+
+    @pytest.mark.parametrize("scales", [[2.0, 2.0, 2.0], [0.5, 1.5, 4.0], [0.0, 0.0, 0.0]])
+    def test_batched_draw_equals_per_tree_draws(self, scales):
+        leaves = self._leaves()
+        batched, variances = noisy_forest(
+            leaves, self.FANOUT, self.HEIGHT, scales, np.random.default_rng(9)
+        )
+        rng = np.random.default_rng(9)
+        for t in range(self.K):
+            single, single_var = noisy_forest(leaves[t : t + 1], self.FANOUT, self.HEIGHT, scales, rng)
+            assert single_var == variances
+            for l in range(self.HEIGHT + 1):
+                assert single[l].tobytes() == batched[l][t : t + 1].tobytes()
+        # the roots stay exact; every other level carries its own scale
+        assert np.array_equal(batched[0][:, 0], leaves.sum(axis=1))
+        assert variances == [0.0] + [2.0 * s**2 for s in scales]
+
+    def test_batched_gls_equals_per_tree_gls(self):
+        values, variances = noisy_forest(
+            self._leaves(), self.FANOUT, self.HEIGHT, [1.0, 2.0, 3.0], np.random.default_rng(4)
+        )
+        variances[0] = math.inf
+        batched = consistent_forest(values, variances, self.FANOUT)
+        for t in range(self.K):
+            tree = NoisyTree(self.FANOUT, self.HEIGHT, [v[t] for v in values], variances)
+            assert tree.consistent_leaves().tobytes() == batched[t].tobytes()
+
+    def test_shape_validation(self):
+        with pytest.raises(ValueError):
+            noisy_forest(np.zeros((2, 8)), 3, 2, [1.0, 1.0], np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            noisy_forest(np.zeros((2, 9)), 3, 2, [1.0], np.random.default_rng(0))
 
 
 class TestHierarchicalMechanism:

@@ -10,6 +10,59 @@ from repro.mechanisms import isotonic_regression, project_cumulative
 floats = st.floats(min_value=-100, max_value=100, allow_nan=False)
 
 
+def _reference_pava(y: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The earlier numpy-scalar block stack, kept as the bitwise reference
+    for the list-based :func:`isotonic_regression`."""
+    n = y.size
+    means = np.empty(n, dtype=np.float64)
+    wsums = np.empty(n, dtype=np.float64)
+    counts = np.empty(n, dtype=np.int64)
+    top = 0
+    for i in range(n):
+        means[top] = y[i]
+        wsums[top] = w[i]
+        counts[top] = 1
+        top += 1
+        while top > 1 and means[top - 2] > means[top - 1]:
+            tw = wsums[top - 2] + wsums[top - 1]
+            means[top - 2] = (
+                means[top - 2] * wsums[top - 2] + means[top - 1] * wsums[top - 1]
+            ) / tw
+            wsums[top - 2] = tw
+            counts[top - 2] += counts[top - 1]
+            top -= 1
+    return np.repeat(means[:top], counts[:top])
+
+
+class TestMatchesReferenceBitwise:
+    @given(st.lists(floats, min_size=1, max_size=60))
+    @settings(max_examples=200, deadline=None)
+    def test_unweighted(self, y):
+        y = np.array(y)
+        out = isotonic_regression(y)
+        assert out.tobytes() == _reference_pava(y, np.ones(y.size)).tobytes()
+
+    @given(
+        st.lists(
+            st.tuples(floats, st.floats(min_value=1e-3, max_value=1e3, allow_nan=False)),
+            min_size=1,
+            max_size=60,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_weighted(self, pairs):
+        y = np.array([p[0] for p in pairs])
+        w = np.array([p[1] for p in pairs])
+        out = isotonic_regression(y, w)
+        assert out.tobytes() == _reference_pava(y, w).tobytes()
+
+    def test_noisy_prefix_counts(self):
+        """A long noisy cumulative histogram, where most entries pool."""
+        rng = np.random.default_rng(5)
+        y = np.cumsum(rng.poisson(3.0, 4_357)) + rng.laplace(0.0, 4.0, 4_357)
+        assert isotonic_regression(y).tobytes() == _reference_pava(y, np.ones(y.size)).tobytes()
+
+
 class TestIsotonicRegression:
     def test_already_monotone_unchanged(self):
         y = np.array([1.0, 2.0, 2.0, 5.0])
