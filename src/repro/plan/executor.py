@@ -125,6 +125,17 @@ class Executor:
                 f"({plan.options or {}} != {canonical_options(engine.options) or {}}); "
                 "options change the released structures the plan was scored on"
             )
+        if db is not None:
+            # a linear query needs one weight per tuple; refuse a misshapen
+            # one before any step of the run has charged the accountant
+            for step in plan.steps:
+                if step.family == "linear" and step.degradation != "dropped":
+                    width = wl.group(step.group).weights.shape[1]
+                    if width != db.n:
+                        raise ValueError(
+                            f"weight matrix has {width} columns but the "
+                            f"database has {db.n} tuples"
+                        )
         releases = releases if releases is not None else {}
         rng = ensure_rng(rng)
         by_group: dict[str, np.ndarray] = {}

@@ -302,11 +302,17 @@ class TestMisshapenLinearRefusal:
         return service, base
 
     @staticmethod
-    def _linear_total(service) -> float:
+    def _total(service, label=None) -> float:
         store = service.ledger_store
         return sum(
-            e.epsilon for key in store.keys() for e in store.entries(key) if e.label == "linear"
+            e.epsilon
+            for key in store.keys()
+            for e in store.entries(key)
+            if label is None or e.label == label
         )
+
+    def _linear_total(self, service) -> float:
+        return self._total(service, "linear")
 
     def _linear(self, service, base, width, seed):
         return service.handle(
@@ -328,3 +334,23 @@ class TestMisshapenLinearRefusal:
         assert not resp["ok"]
         assert resp["error"]["kind"] == "invalid_request"
         assert self._linear_total(service) == 0.5
+
+    def test_mixed_request_refused_before_any_charge(self, setting):
+        # the range and histogram steps run before the linear one; none of
+        # them may charge when the linear group is refused
+        service, base = setting
+        resp = service.handle(
+            {
+                **base,
+                "queries": [
+                    {"kind": "range", "lo": 10, "hi": 100},
+                    {"kind": "count", "support": [3, 4, 5, 90]},
+                    {"kind": "linear", "weights": [1.0] * 128},
+                ],
+                "seed": 3,
+            }
+        )
+        assert not resp["ok"]
+        assert resp["error"]["kind"] == "invalid_request"
+        assert "128 columns" in resp["error"]["message"]
+        assert self._total(service) == 0.0
