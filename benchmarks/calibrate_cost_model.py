@@ -17,8 +17,8 @@ spiky mixture the shipped constants were measured on — or ``uniform``;
 ``all`` fits every family).  The output block is ready to paste into
 ``COST_MODEL_FITS``; deployments serving a different data distribution
 re-fit here, register the result and pin it per dataset with
-``BlowfishService.register_dataset(..., calibration=NAME)`` (or scope it
-with ``repro.analysis.bounds.calibration``).
+``BlowfishService.register_dataset(..., calibration=NAME)`` (or pass
+``fit=NAME`` to ``PolicyEngine.plan`` in library code).
 
 Not a test: this is the reproducible provenance of the constants.  Re-run
 after changing a mechanism's post-processing and update the fits when the

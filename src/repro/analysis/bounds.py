@@ -24,9 +24,7 @@ against the benchmark suite (``benchmarks/calibrate_cost_model.py``).
 
 from __future__ import annotations
 
-import contextvars
 import math
-from contextlib import contextmanager
 
 from ..mechanisms.ordered_hierarchical import (
     oh_error_constants,
@@ -48,15 +46,12 @@ __all__ = [
     "CALIBRATION",
     "COST_MODEL_FITS",
     "MODEL_TOLERANCE",
+    "DEFAULT_FIT",
+    "CONTINUAL_STRATEGIES",
     "calibration_factor",
-    "active_calibration",
-    "active_calibration_family",
+    "fit_report",
     "register_calibration",
-    "calibration",
     "StreamContext",
-    "stream_context",
-    "active_stream_context",
-    "stream_plan_token",
 ]
 
 
@@ -145,9 +140,9 @@ INFERENCE_THETA_EXPONENT: dict[str, float] = {
 #: ``benchmarks/calibrate_cost_model.py --family <name>``.  The shipped
 #: default is the synthetic spiky-mixture grid the constants above were
 #: measured on; re-fits for other dataset families are registered here (or
-#: via :func:`register_calibration`) and activated per scope with
-#: :func:`calibration` — the planner's scores then use the active family's
-#: constants everywhere.
+#: via :func:`register_calibration`) and selected by name: every cost-model
+#: entry point takes ``fit=``, and the planner scores a whole plan under
+#: the one fit it was built with.
 COST_MODEL_FITS: dict[str, dict] = {
     "synthetic-grid": {
         "constants": CALIBRATION,
@@ -255,52 +250,20 @@ COST_MODEL_FITS: dict[str, dict] = {
     },
 }
 
-#: The active fit.  A contextvar so a multi-tenant service can plan each
-#: request under the fit calibrated for *that request's dataset family*
-#: (``repro.api.BlowfishService`` resolves it per registered dataset)
-#: without perturbing concurrent requests; outside any :func:`calibration`
-#: scope the shipped synthetic-grid fit is active.
-_calibration_fit: contextvars.ContextVar = contextvars.ContextVar(
-    "repro_calibration_fit", default="synthetic-grid"
-)
+#: The shipped fit, used wherever no dataset family's fit is named.
+DEFAULT_FIT = "synthetic-grid"
 
 
-def _current_fit() -> str:
-    return _calibration_fit.get()
-
-
-@contextmanager
-def calibration(family: str):
-    """Scoped fit override: plan/score under ``family`` for the duration
-    of the ``with`` block (this context only — concurrent requests keep
-    their own fit).  The serving tier uses this to auto-select the fit
-    calibrated for each registered dataset family."""
-    if family not in COST_MODEL_FITS:
-        known = ", ".join(sorted(COST_MODEL_FITS))
-        raise KeyError(f"unknown calibration family {family!r} (known: {known})")
-    token = _calibration_fit.set(family)
-    try:
-        yield
-    finally:
-        _calibration_fit.reset(token)
-
-
-def active_calibration_family() -> str:
-    """Name of the active fit (plan-cache keys, plan provenance stamps):
-    the innermost :func:`calibration` scope's, else the shipped default."""
-    return _current_fit()
-
-
-def active_calibration() -> dict:
-    """The active cost-model fit, JSON-ready (surfaced by ``"describe"``
-    and ``Plan.explain()``): family name, provenance, constants keyed
-    ``"<strategy>"`` with ``raw``/``inference`` entries, theta exponents."""
-    fit = COST_MODEL_FITS[_current_fit()]
+def fit_report(family: str) -> dict:
+    """The fit ``family``, JSON-ready (surfaced by ``"describe"``): family
+    name, provenance, constants keyed ``"<strategy>"`` with
+    ``raw``/``inference`` entries, theta exponents."""
+    fit = COST_MODEL_FITS[family]
     constants: dict[str, dict] = {}
     for (strategy, consistent), value in sorted(fit["constants"].items()):
         constants.setdefault(strategy, {})["inference" if consistent else "raw"] = value
     return {
-        "family": _current_fit(),
+        "family": family,
         "provenance": fit["provenance"],
         "constants": constants,
         "theta_exponents": dict(fit.get("theta_exponents", {})),
@@ -314,7 +277,7 @@ def register_calibration(
     theta_exponents: dict[str, float] | None = None,
     provenance: str = "user-supplied",
 ) -> None:
-    """Register a per-dataset-family re-fit (does not activate it)."""
+    """Register a per-dataset-family re-fit, selectable by name as ``fit=``."""
     COST_MODEL_FITS[family] = {
         "constants": dict(constants),
         "theta_exponents": dict(theta_exponents or {}),
@@ -365,40 +328,10 @@ class StreamContext:
         )
 
 
-#: Scoped stream context.  A contextvar for the same reason as the
-#: calibration override: one process plans streaming and one-shot requests
-#: concurrently, and the continual-release candidates must be visible (and
-#: scoreable) only to the former.
-_stream_ctx: contextvars.ContextVar = contextvars.ContextVar(
-    "repro_stream_context", default=None
-)
-
-
-@contextmanager
-def stream_context(horizon: int, tick: int, window: int | None = None):
-    """Scoped stream parameters for planning one tick's requests.
-
-    While active, the registry's continual-release candidates
-    (``hierarchical-interval``, ``sliding-window``) match and their cost
-    models score; outside it they neither match nor score, so one-shot
-    planning is untouched.
-    """
-    token = _stream_ctx.set(StreamContext(horizon, tick, window))
-    try:
-        yield
-    finally:
-        _stream_ctx.reset(token)
-
-
-def active_stream_context() -> StreamContext | None:
-    """The scoped :func:`stream_context`, or ``None`` outside one."""
-    return _stream_ctx.get()
-
-
-def stream_plan_token() -> tuple | None:
-    """Plan-cache key component of the active stream context (None outside)."""
-    ctx = _stream_ctx.get()
-    return None if ctx is None else ctx.token()
+#: The continual-release range candidates.  Their cost models need a
+#: :class:`StreamContext`, so the planner offers them only when it plans a
+#: stream tick.
+CONTINUAL_STRATEGIES = ("hierarchical-interval", "sliding-window")
 
 
 #: How far a measured MSE may exceed the model's prediction-implied choice
@@ -409,19 +342,22 @@ MODEL_TOLERANCE = 1.35
 
 
 def calibration_factor(
-    strategy: str, consistent: bool = True, *, theta: float | None = None
+    strategy: str,
+    consistent: bool = True,
+    *,
+    theta: float | None = None,
+    fit: str = DEFAULT_FIT,
 ) -> float:
     """Measured correction applied on top of the analytic formulas.
 
     ``theta`` feeds the with-inference power law for the prefix-structured
     mechanisms; omit it (or pass ``None``) for the flat constant alone.
-    Constants come from the *active* fit (a scoped :func:`calibration`
-    override); the default is the shipped synthetic-grid measurement.
+    Constants come from the named ``fit`` in :data:`COST_MODEL_FITS`.
     """
-    fit = COST_MODEL_FITS[_current_fit()]
-    factor = fit["constants"].get((strategy, bool(consistent)), 1.0)
+    record = COST_MODEL_FITS[fit]
+    factor = record["constants"].get((strategy, bool(consistent)), 1.0)
     if consistent and theta is not None and theta > 1:
-        factor *= theta ** -fit.get("theta_exponents", {}).get(strategy, 0.0)
+        factor *= theta ** -record.get("theta_exponents", {}).get(strategy, 0.0)
     return factor
 
 
@@ -435,6 +371,8 @@ def predicted_range_query_mse(
     fanout: int = 16,
     budget_split: str | float = "optimal",
     consistent: bool = True,
+    fit: str = DEFAULT_FIT,
+    stream: StreamContext | None = None,
 ) -> float:
     """Expected squared error of one random range query under ``strategy``.
 
@@ -442,13 +380,17 @@ def predicted_range_query_mse(
     is the *cached* cumulative-histogram sensitivity ``S(S_T, P)`` (used by
     the ordered mechanism), ``theta`` the policy graph's maximum index gap
     (used by the OH hybrid), ``fanout``/``budget_split``/``consistent`` the
-    per-family mechanism options.  Unknown strategies raise ``KeyError`` so
-    the planner can skip rules it has no model for.
+    per-family mechanism options.  ``fit`` names the calibration fit and
+    ``stream`` the tick being planned (the continual candidates need it).
+    Unknown strategies raise ``KeyError`` so the planner can skip rules it
+    has no model for.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    if strategy in ("hierarchical-interval", "sliding-window"):
-        return _predicted_stream_range_mse(strategy, epsilon, sensitivity, consistent)
+    if strategy in CONTINUAL_STRATEGIES:
+        return _predicted_stream_range_mse(
+            strategy, epsilon, sensitivity, consistent, fit, stream
+        )
     if strategy == "ordered":
         raw = ordered_range_error_bound(epsilon, sensitivity)
         # the ordered mechanism's theta proxy is its sensitivity: S = theta
@@ -466,11 +408,16 @@ def predicted_range_query_mse(
         )
     else:
         raise KeyError(f"no cost model for range strategy {strategy!r}")
-    return raw * calibration_factor(strategy, consistent, theta=theta)
+    return raw * calibration_factor(strategy, consistent, theta=theta, fit=fit)
 
 
 def _predicted_stream_range_mse(
-    strategy: str, epsilon: float, sensitivity: float, consistent: bool
+    strategy: str,
+    epsilon: float,
+    sensitivity: float,
+    consistent: bool,
+    fit: str,
+    stream: StreamContext | None,
 ) -> float:
     """Expected per-range-query squared error of the continual candidates,
     *relative to the tick's fair epsilon share* ``epsilon``.
@@ -490,20 +437,17 @@ def _predicted_stream_range_mse(
       = parts * (levels/horizon)^2 * c / eps^2.
 
     For any horizon >= 2 that factor is well under 1 — the amortized-MSE
-    win the stream benchmark measures.  Raises ``KeyError`` outside a
-    :func:`stream_context` so one-shot planning skips the candidates.
+    win the stream benchmark measures.  Raises ``KeyError`` without a
+    ``stream``: the candidates have no one-shot model.
     """
-    ctx = _stream_ctx.get()
-    if ctx is None:
-        raise KeyError(
-            f"range strategy {strategy!r} is only scoreable inside a stream_context"
-        )
+    if stream is None:
+        raise KeyError(f"range strategy {strategy!r} is only scoreable on a stream tick")
     base = ordered_range_error_bound(epsilon, sensitivity) * calibration_factor(
-        "ordered", consistent, theta=max(sensitivity, 1.0)
+        "ordered", consistent, theta=max(sensitivity, 1.0), fit=fit
     )
     if strategy == "sliding-window":
         return base
-    return ctx.parts() * (ctx.levels() / ctx.horizon) ** 2 * base
+    return stream.parts() * (stream.levels() / stream.horizon) ** 2 * base
 
 
 def _oh_split(
@@ -537,6 +481,7 @@ def predicted_count_query_mse(
     sensitivity: float = 2.0,
     avg_support: float = 1.0,
     consistent: bool = True,
+    fit: str = DEFAULT_FIT,
 ) -> float:
     """Expected squared error of one count query answered from a fresh
     histogram release: independent ``Lap(S/eps)`` cells, so the noise
@@ -548,5 +493,5 @@ def predicted_count_query_mse(
     return (
         avg_support
         * laplace_cell_variance(epsilon, sensitivity)
-        * calibration_factor(strategy, consistent)
+        * calibration_factor(strategy, consistent, fit=fit)
     )

@@ -87,14 +87,13 @@ from __future__ import annotations
 
 import hashlib
 import math
-from contextlib import nullcontext
 from threading import Lock
 from time import perf_counter
 
 import numpy as np
 
 from .. import obs
-from ..analysis.bounds import COST_MODEL_FITS, calibration
+from ..analysis.bounds import COST_MODEL_FITS, DEFAULT_FIT, StreamContext, fit_report
 from ..check import SpecChecker
 from ..core.composition import BudgetExceededError
 from ..core.database import Database
@@ -110,25 +109,7 @@ from .session import Session
 from .specs import spec_digest
 from .striping import StripedLRU
 
-__all__ = ["BlowfishService", "default_calibration_for"]
-
-
-def default_calibration_for(name: str) -> str | None:
-    """Best-effort dataset-name → registered cost-model fit mapping.
-
-    A registered fit family whose leading token appears in the dataset name
-    (``"uniform-ages"`` → ``"uniform"``) is auto-selected; unknown names
-    return ``None`` and plan under the shipped default.  Callers with real
-    knowledge pass ``calibration=`` to :meth:`BlowfishService
-    .register_dataset` instead of relying on this heuristic.
-    """
-    lowered = name.lower()
-    for family in sorted(COST_MODEL_FITS):
-        if family == "synthetic-grid":
-            continue  # the shipped default; never an auto-upgrade
-        if family.split("-")[0] in lowered:
-            return family
-    return None
+__all__ = ["BlowfishService"]
 
 
 class BlowfishService:
@@ -186,7 +167,7 @@ class BlowfishService:
         self._sessions = StripedLRU(max_sessions)
         self._policies = StripedLRU(max_policies)
         self._datasets_lock = Lock()
-        self._dataset_fits: dict[str, str] = {}
+        self._dataset_fits: dict[str, str | None] = {}
 
     # -- server-side state ----------------------------------------------------------
     def register_dataset(
@@ -196,27 +177,16 @@ class BlowfishService:
 
         ``calibration`` pins the cost-model fit family
         (:data:`~repro.analysis.bounds.COST_MODEL_FITS`) this dataset's
-        plans are scored under — per request, scoped through
-        :func:`~repro.analysis.bounds.calibration`, so other tenants keep
-        their own fit.  Omitted, the fit is auto-selected from the dataset
-        name via :func:`default_calibration_for` (no match → the shipped
-        default).
+        plans are scored under; every request on the dataset passes it to
+        the planner, so other tenants keep their own fit.  Omitted, the fit
+        is auto-selected from the dataset name (see :meth:`_resolve_fit`).
         """
-        if calibration is None:
-            calibration = default_calibration_for(name)
-        elif calibration not in COST_MODEL_FITS:
-            known = ", ".join(sorted(COST_MODEL_FITS))
-            raise ValueError(
-                f"unknown calibration family {calibration!r} (known: {known})"
-            )
+        fit = self._resolve_fit(name, calibration)
         with self._datasets_lock:
             if name in self._streams:
                 raise ValueError(f"{name!r} is already a registered stream")
             self._datasets[name] = db
-            if calibration is not None:
-                self._dataset_fits[name] = calibration
-            else:
-                self._dataset_fits.pop(name, None)
+            self._dataset_fits[name] = fit
 
     def register_stream(self, name: str, stream, *, calibration: str | None = None) -> None:
         """Make an append-only :class:`~repro.stream.StreamDataset`
@@ -229,21 +199,35 @@ class BlowfishService:
         exactly as in :meth:`register_dataset`.  The ``"append"`` and
         ``"tick"`` ops mutate registered streams by name.
         """
-        if calibration is None:
-            calibration = default_calibration_for(name)
-        elif calibration not in COST_MODEL_FITS:
-            known = ", ".join(sorted(COST_MODEL_FITS))
-            raise ValueError(
-                f"unknown calibration family {calibration!r} (known: {known})"
-            )
+        fit = self._resolve_fit(name, calibration)
         with self._datasets_lock:
             if name in self._datasets:
                 raise ValueError(f"{name!r} is already a registered (pinned) dataset")
             self._streams[name] = stream
-            if calibration is not None:
-                self._dataset_fits[name] = calibration
-            else:
-                self._dataset_fits.pop(name, None)
+            self._dataset_fits[name] = fit
+
+    @staticmethod
+    def _resolve_fit(name: str, calibration: str | None) -> str | None:
+        """The fit family a registered ``name`` is planned under.
+
+        An explicit ``calibration`` must name a registered fit.  Otherwise
+        a fit family whose leading token appears in the name is picked
+        (``"uniform-ages"`` → ``"uniform"``); no match gives ``None``, the
+        shipped default.
+        """
+        if calibration is not None:
+            if calibration not in COST_MODEL_FITS:
+                known = ", ".join(sorted(COST_MODEL_FITS))
+                raise ValueError(
+                    f"unknown calibration family {calibration!r} (known: {known})"
+                )
+            return calibration
+        lowered = name.lower()
+        for family in sorted(COST_MODEL_FITS):
+            # the shipped default is never an auto-upgrade
+            if family != DEFAULT_FIT and family.split("-")[0] in lowered:
+                return family
+        return None
 
     def datasets(self) -> tuple[str, ...]:
         with self._datasets_lock:
@@ -258,13 +242,11 @@ class BlowfishService:
         with self._datasets_lock:
             return self._dataset_fits.get(name)
 
-    def _calibration_ctx(self, dataset_key):
-        """Scoped fit override for a request on a registered dataset."""
+    def _fit_for(self, dataset_key) -> str:
+        """The fit a request on ``dataset_key`` is planned under."""
         if dataset_key is not None and dataset_key[0] in ("name", "stream"):
-            fit = self.dataset_calibration(dataset_key[1])
-            if fit is not None:
-                return calibration(fit)
-        return nullcontext()
+            return self.dataset_calibration(dataset_key[1]) or DEFAULT_FIT
+        return DEFAULT_FIT
 
     # -- the boundary ----------------------------------------------------------------
     def handle(self, request: dict) -> dict:
@@ -574,16 +556,14 @@ class BlowfishService:
                     group.max_staleness = ANY_AGE
         # one lock acquisition for compile + run: the budget consulted at
         # planning time is the budget the execution spends against, even
-        # under concurrent requests on this session.  The dataset's
-        # calibrated fit scopes the whole compile+run (the plan-cache key
-        # reads the active family, so cached plans stay fit-correct).
-        with self._calibration_ctx(dataset_key):
-            plan, plan_cache, answers, call_meta = session.plan_execute_with_meta(
-                workload,
-                optimize=planned and self._plan_mode(request) == "auto",
-                budget=plan_budget,
-                rng=rng,
-            )
+        # under concurrent requests on this session
+        plan, plan_cache, answers, call_meta = session.plan_execute_with_meta(
+            workload,
+            optimize=planned and self._plan_mode(request) == "auto",
+            budget=plan_budget,
+            rng=rng,
+            fit=self._fit_for(dataset_key),
+        )
         meta = {
             "n_queries": len(workload),
             "policy_fingerprint": engine.fingerprint,
@@ -632,11 +612,10 @@ class BlowfishService:
         optimize = self._plan_mode(request) == "auto"
         budget = self._parse_plan_budget(request)
         stream_budget = self._stream_budget(budget)
-        session = None
-        dataset_key = None
+        session = source = dataset_key = stream = None
         session_id = spec_get(request, "session", str, "request", required=False)
         if "dataset" in request:
-            _, dataset_key = self._dataset_for(request, engine.policy)
+            source, dataset_key = self._dataset_for(request, engine.policy)
         if session_id is not None and dataset_key is not None:
             # peek: a read-only preview must neither create the session nor
             # refresh its LRU slot
@@ -645,22 +624,27 @@ class BlowfishService:
             )
         if session is None and stream_budget is not None:
             # no streaming session to preview against: report the tick's
-            # amortized share (what one tick of op "plan" would budget)
+            # amortized share (what one tick of op "plan" would budget),
+            # planned at the stream's current tick as op "plan" would be
             budget = stream_budget.tick_budget()
+            if dataset_key is not None and dataset_key[0] == "stream":
+                stream = StreamContext(
+                    stream_budget.horizon, max(source.tick, 0), stream_budget.window
+                )
         self._annotate_request_span(engine, session_id, engine_cache)
-        with self._calibration_ctx(dataset_key):
-            if session is not None:
-                # through the session so its lock covers reading the releases a
-                # concurrent request on the same session may be mutating (and so
-                # a budgeted preview consults the same remaining ledger budget
-                # op "plan" would)
-                plan, plan_cache = session.plan_with_meta(
-                    workload, optimize=optimize, budget=budget
-                )
-            else:
-                plan, plan_cache = engine.plan_with_meta(
-                    workload, optimize=optimize, budget=budget
-                )
+        fit = self._fit_for(dataset_key)
+        if session is not None:
+            # through the session so its lock covers reading the releases a
+            # concurrent request on the same session may be mutating (and so
+            # a budgeted preview consults the same remaining ledger budget
+            # op "plan" would)
+            plan, plan_cache = session.plan_with_meta(
+                workload, optimize=optimize, budget=budget, fit=fit
+            )
+        else:
+            plan, plan_cache = engine.plan_with_meta(
+                workload, optimize=optimize, budget=budget, fit=fit, stream=stream
+            )
         meta = {
             "n_queries": len(workload),
             "policy_fingerprint": engine.fingerprint,
@@ -798,8 +782,6 @@ class BlowfishService:
         return {"ok": True, "op": "check", "report": report.to_dict()}
 
     def _describe(self, request: dict) -> dict:
-        from ..analysis.bounds import active_calibration
-
         engine, engine_cache, _ = self._engine_for(request)
         strategies = self._strategies(engine, engine.registry.families())
         meta = {
@@ -810,9 +792,12 @@ class BlowfishService:
             "engine_pool": self.pool.stats(),
             "plan_cache": self.pool.plan_cache.stats(),
             "sensitivity_cache": engine.cache_info(),
-            # which measured calibration the planner's scores come from
-            "cost_model": active_calibration(),
-            "dataset_calibrations": dict(self._dataset_fits),
+            # the shipped fit; datasets planned under another are listed
+            # in dataset_calibrations
+            "cost_model": fit_report(DEFAULT_FIT),
+            "dataset_calibrations": {
+                name: fit for name, fit in self._dataset_fits.items() if fit
+            },
             "streams": self._stream_section(),
             # full observability snapshot: registry instruments + this
             # service's cache/ledger series (JSON-ready; also renderable

@@ -18,6 +18,7 @@ from threading import RLock
 import numpy as np
 
 from .. import obs
+from ..analysis.bounds import DEFAULT_FIT
 from ..core.composition import PrivacyAccountant
 from ..core.database import Database
 from ..core.rng import ensure_rng
@@ -182,7 +183,9 @@ class Session:
                 self.release_ticks[key] = self._db_tick
 
     # -- planning & answering ------------------------------------------------------
-    def plan_with_meta(self, workload, *, optimize: bool = True, budget=None):
+    def plan_with_meta(
+        self, workload, *, optimize: bool = True, budget=None, fit: str = DEFAULT_FIT
+    ):
         """Compile a plan for ``workload`` that knows this session's cache:
         ``(plan, plan_cache)``, the cache outcome being ``"hit"``/``"miss"``/
         ``"uncached"``.  Nothing is executed or spent: this is the preview
@@ -206,18 +209,22 @@ class Session:
         tick and hands the planner each held release's age, so per-group
         freshness bounds decide free reuse.  A
         :class:`~repro.stream.StreamBudget` plans the *tick's* amortized
-        share inside a scoped stream context (which is what lets the
-        continual-release strategies compete); past the horizon a strict
+        share and hands the planner the tick's
+        :class:`~repro.analysis.bounds.StreamContext` (which is what lets
+        the continual-release strategies compete); past the horizon a strict
         budget raises here, spend-free, and the degrade modes compile
         against a zero remaining budget so the planner's degradation
         machinery (drop / stale reuse) takes over.
+
+        ``fit`` names the cost-model fit the plan is scored under (the
+        service passes the dataset's).
         """
         from ..stream.budget import StreamBudget
 
         with self._lock, obs.tracer().span("session.plan") as span:
             self._sync_stream()
             staleness = self._staleness()
-            stream_ctx = None
+            stream = None
             if isinstance(budget, StreamBudget):
                 if self.stream_state is None:
                     raise ValueError(
@@ -228,48 +235,45 @@ class Session:
                 ss.check_horizon()  # strict refuses past-horizon ticks here
                 remaining = 0.0 if ss.past_horizon() else None
                 budget = budget.tick_budget()
-                stream_ctx = ss.plan_context()
+                stream = ss.plan_context()
                 span.set(stream_tick=self._db_tick)
             else:
                 remaining = None
                 if budget is not None and self.accountant.budget is not None:
                     remaining = self.accountant.remaining()
                     span.set(remaining_budget=remaining)
-            if stream_ctx is not None:
-                with stream_ctx:
-                    plan, plan_cache = self.engine.plan_with_meta(
-                        workload,
-                        optimize=optimize,
-                        existing=self.releases,
-                        budget=budget,
-                        remaining=remaining,
-                        staleness=staleness,
-                    )
-            else:
-                plan, plan_cache = self.engine.plan_with_meta(
-                    workload,
-                    optimize=optimize,
-                    existing=self.releases,
-                    budget=budget,
-                    remaining=remaining,
-                    staleness=staleness,
-                )
+            plan, plan_cache = self.engine.plan_with_meta(
+                workload,
+                optimize=optimize,
+                existing=self.releases,
+                budget=budget,
+                remaining=remaining,
+                staleness=staleness,
+                fit=fit,
+                stream=stream,
+            )
             span.set(plan_cache=plan_cache)
             return plan, plan_cache
 
     def plan_execute_with_meta(
-        self, workload, *, optimize: bool = True, budget=None, rng=None
+        self,
+        workload,
+        *,
+        optimize: bool = True,
+        budget=None,
+        rng=None,
+        fit: str = DEFAULT_FIT,
     ):
         """Compile and run ``workload`` in one lock acquisition: ``(plan,
         plan_cache, answers, meta)``.
 
         The single answering path: ``optimize=False`` runs the registry's
         fixed per-family dispatch (the ``"answer"`` op), ``optimize=True``
-        the cost-driven plan (the ``"plan"`` op).  The remaining-budget
-        consult and the resulting spends happen atomically with respect to
-        concurrent requests on this session — a plan judged affordable (or
-        degraded to fit) cannot be invalidated by an interleaved spend
-        before it executes.
+        the cost-driven plan (the ``"plan"`` op), scored under ``fit``.  The
+        remaining-budget consult and the resulting spends happen atomically
+        with respect to concurrent requests on this session — a plan judged
+        affordable (or degraded to fit) cannot be invalidated by an
+        interleaved spend before it executes.
 
         ``meta`` carries the epsilon this call spent, the session's running
         total and the executor's per-release-key ``"hit"``/``"miss"``
@@ -295,7 +299,7 @@ class Session:
                     self, rng, tolerance=_staleness_floor(workload)
                 )
             plan, plan_cache = self.plan_with_meta(
-                workload, optimize=optimize, budget=budget
+                workload, optimize=optimize, budget=budget, fit=fit
             )
             cached_before = set(self.releases)
             if on_stream:

@@ -203,12 +203,18 @@ def neighbor_pairs(
             for d2 in unconstrained_neighbors(policy, d1):
                 out.append((d1, d2))
         return out
-    # Precompute T and Delta against each candidate pair lazily; the cubic
-    # loop below is the price of exactness.
-    for d1 in universe:
-        for d2 in universe:
-            if d1 == d2:
+    # are_neighbors for every ordered pair, with its per-pair work hoisted:
+    # admits once per database and the change sets once per d1 (the d3
+    # search is still cubic — the price of exactness)
+    admitted = [policy.admits(d) for d in universe]
+    for d1, ok1 in zip(universe, admitted):
+        if not ok1:
+            continue
+        row = [change_set(d1, d3) for d3 in universe]
+        moves = [c13 for c13 in row if c13]
+        for d2, ok2, c12 in zip(universe, admitted, row):
+            if not ok2 or not c12 or not discriminative_pairs(policy, d1, d2):
                 continue
-            if are_neighbors(policy, d1, d2, universe=universe):
+            if not any(c13 < c12 for c13 in moves):
                 out.append((d1, d2))
     return out

@@ -34,6 +34,7 @@ from threading import Lock
 import numpy as np
 
 from .. import obs
+from ..analysis.bounds import DEFAULT_FIT, StreamContext
 from ..core.composition import PrivacyAccountant
 from ..core.database import Database
 from ..core.policy import Policy
@@ -416,6 +417,8 @@ class PolicyEngine:
         budget=None,
         remaining: float | None = None,
         staleness=None,
+        fit: str = DEFAULT_FIT,
+        stream: StreamContext | None = None,
     ):
         """Compile a :class:`repro.plan.Plan` for ``workload``.
 
@@ -442,12 +445,17 @@ class PolicyEngine:
         within their ``max_staleness`` bound, and ages are part of the
         plan-cache identity.
 
+        ``fit`` names the cost-model calibration fit the candidates are
+        scored under, and ``stream`` (a
+        :class:`~repro.analysis.bounds.StreamContext`) the stream tick being
+        planned — only then do the continual-release candidates compete.
+
         With a :attr:`plan_cache` attached (pooled engines), a cost-driven
         (``optimize=True``) plan is memoized under everything it depends
-        on — policy fingerprint, epsilon, options, the workload's digest,
-        the caller's existing-release state (with staleness ages) and the
-        budget directive — so a repeated workload skips candidate scoring
-        entirely.
+        on — policy fingerprint, epsilon, options, the fit, the workload's
+        digest, the caller's existing-release state (with staleness ages),
+        the stream tick's token and the budget directive — so a repeated
+        workload skips candidate scoring entirely.
         """
         return self.plan_with_meta(
             workload,
@@ -456,6 +464,8 @@ class PolicyEngine:
             budget=budget,
             remaining=remaining,
             staleness=staleness,
+            fit=fit,
+            stream=stream,
         )[0]
 
     def plan_with_meta(
@@ -467,21 +477,23 @@ class PolicyEngine:
         budget=None,
         remaining: float | None = None,
         staleness=None,
+        fit: str = DEFAULT_FIT,
+        stream: StreamContext | None = None,
     ):
         """:meth:`plan`, plus ``"hit"``/``"miss"``/``"uncached"`` for the
         plan-cache outcome of this call (what the service reports).
         Fixed-mode compiles are always ``"uncached"``."""
-        from ..analysis.bounds import active_calibration_family, stream_plan_token
         from ..plan import Planner, Workload
         from ..plan.planner import existing_token
 
         if not isinstance(workload, Workload):
             workload = Workload.from_queries(self.policy.domain, workload)
+        planner = Planner(self, fit=fit, stream=stream)
         cache = self.plan_cache
         # a fixed-mode compile scores one candidate per group, so caching
         # it saves nothing, while storing it would fingerprint every query
         if cache is None or not optimize:
-            plan = Planner(self).plan(
+            plan = planner.plan(
                 workload,
                 optimize=optimize,
                 existing=existing,
@@ -505,17 +517,17 @@ class PolicyEngine:
             self.epsilon,
             options_key(self.options),
             self.registry.fingerprint(),
-            # scores (and budget allocations) depend on the active
-            # calibration fit; switching fits must key stale plans out
-            active_calibration_family(),
+            # scores (and budget allocations) depend on the calibration
+            # fit; switching fits must key stale plans out
+            fit,
             workload.cache_token(),
             bool(optimize),
             # release ages fold into the existing token, so stale-reuse and
             # fresh compiles of one workload can never collide
             existing_token(existing, staleness),
-            # the stream candidates' scores read the active stream context
-            # (None outside one, so one-shot keys are unchanged)
-            stream_plan_token(),
+            # the stream candidates' scores read the stream tick (None for
+            # one-shot compiles)
+            None if stream is None else stream.token(),
             # unbudgeted plans share one entry regardless of ledger state,
             # exactly as before
             None if budget is None else (budget.cache_token(), remaining_token),
@@ -528,7 +540,7 @@ class PolicyEngine:
             return plan.bind(workload), "hit"
         # compiled outside any lock: plans are deterministic in the key, so
         # racing compilers produce interchangeable values (first stored wins)
-        plan = Planner(self).plan(
+        plan = planner.plan(
             workload,
             optimize=optimize,
             existing=existing,

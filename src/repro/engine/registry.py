@@ -240,15 +240,6 @@ def constrained_histogram(policy, epsilon, *, sensitivity=None, **_):
     return ConstrainedHistogramMechanism(policy, epsilon, sensitivity=sensitivity)
 
 
-def _streaming(policy) -> bool:
-    """Continual-release candidates match only while a tick is being
-    planned (a :func:`repro.analysis.bounds.stream_context` is active), so
-    one-shot dispatch and fingerprinted plan caches never see them."""
-    from ..analysis.bounds import active_stream_context
-
-    return active_stream_context() is not None
-
-
 def stream_interval(policy, epsilon, *, consistent=True, **_):
     """One dyadic node of the hierarchical interval counter.
 
@@ -291,9 +282,8 @@ def default_registry() -> MechanismRegistry:
     # the OH hybrid under G^{d,theta} once theta is small enough that
     # 4 theta^2 undercuts the Eqn (14) tree error.
     reg.register("range", DistanceThresholdGraph, ordered, name="ordered")
-    # continual-release candidates: trailing (never the fixed dispatch) and
-    # gated on an active stream context, so the planner cost-scores them
-    # against the one-shot strategies only when a tick is being planned
-    reg.register("range", None, stream_interval, when=_streaming, name="hierarchical-interval")
-    reg.register("range", None, stream_window, when=_streaming, name="sliding-window")
+    # continual-release candidates: trailing, so never the fixed dispatch;
+    # the planner offers them only when it is given a stream tick to plan
+    reg.register("range", None, stream_interval, name="hierarchical-interval")
+    reg.register("range", None, stream_window, name="sliding-window")
     return reg

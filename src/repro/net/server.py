@@ -71,6 +71,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import logging
 import re
 import signal
 import uuid
@@ -81,6 +82,9 @@ from .. import obs
 from ..api import AsyncBlowfishService, BlowfishService, ServiceDraining
 
 __all__ = ["BlowfishHTTPServer", "status_for_response", "run_server"]
+
+#: Internal errors (500s) are logged here with their traceback and request id.
+_log = logging.getLogger("repro.net")
 
 _REASONS = {
     200: "OK",
@@ -595,8 +599,10 @@ class BlowfishHTTPServer:
                     response = json.loads(_error_body("draining", "server is draining"))
                     status = 503
                 except Exception:
-                    # an internal bug: classified, counted, never leaked
+                    # an internal bug: classified, counted and logged with
+                    # its traceback, never leaked to the client
                     obs.metrics().counter("http_internal_errors_total").inc()
+                    _log.exception("internal error serving request %s", request_id)
                     response = json.loads(
                         _error_body("internal", "internal server error")
                     )

@@ -153,8 +153,8 @@ class Plan:
         self.budget = budget
         #: calibration-fit family the scores were computed under (in-memory
         #: provenance, stamped by the planner; not part of the spec, so a
-        #: round-tripped plan loses it and explain() falls back to the
-        #: active fit)
+        #: round-tripped plan loses it and explain() reports the shipped
+        #: default fit)
         self.cost_model = cost_model
         #: canonical per-family mechanism options the plan was scored under;
         #: the executor refuses engines configured differently (options
@@ -378,16 +378,14 @@ class Plan:
             f"  total epsilon: {self.total_epsilon:g} across "
             f"{sum(1 for s in self.steps if s.epsilon > 0)} fresh release(s)"
         )
-        from ..analysis.bounds import COST_MODEL_FITS, active_calibration
+        from ..analysis.bounds import COST_MODEL_FITS, DEFAULT_FIT
 
-        if self.cost_model is not None and self.cost_model in COST_MODEL_FITS:
-            # the fit the scores were actually computed under, even if the
-            # active fit has changed since
-            fit = COST_MODEL_FITS[self.cost_model]
-            lines.append(f"  cost model: {self.cost_model} ({fit['provenance']})")
-        else:
-            fit = active_calibration()
-            lines.append(f"  cost model: {fit['family']} ({fit['provenance']})")
+        # the fit the scores were computed under (a plan rebuilt from its
+        # spec does not carry it: the shipped default is reported)
+        family = self.cost_model if self.cost_model in COST_MODEL_FITS else DEFAULT_FIT
+        lines.append(
+            f"  cost model: {family} ({COST_MODEL_FITS[family]['provenance']})"
+        )
         return "\n".join(lines)
 
     def summary(self) -> list[dict]:

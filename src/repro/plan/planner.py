@@ -42,6 +42,10 @@ import numpy as np
 
 from .. import obs
 from ..analysis.bounds import (
+    CONTINUAL_STRATEGIES,
+    COST_MODEL_FITS,
+    DEFAULT_FIT,
+    StreamContext,
     predicted_count_query_mse,
     predicted_range_query_mse,
 )
@@ -101,10 +105,25 @@ FRESH_RELEASE_PENALTY = 1.1
 
 
 class Planner:
-    """Compiles :class:`Plan` s for one :class:`~repro.engine.PolicyEngine`."""
+    """Compiles :class:`Plan` s for one :class:`~repro.engine.PolicyEngine`.
 
-    def __init__(self, engine):
+    The cost model is an explicit input: ``fit`` names the calibration fit
+    (:data:`~repro.analysis.bounds.COST_MODEL_FITS`) every candidate is
+    scored under, and ``stream`` is the tick being planned on a
+    continual-release session — the continual candidates
+    (:data:`~repro.analysis.bounds.CONTINUAL_STRATEGIES`) compete only
+    when it is given.
+    """
+
+    def __init__(
+        self, engine, *, fit: str = DEFAULT_FIT, stream: StreamContext | None = None
+    ):
+        if fit not in COST_MODEL_FITS:
+            # scoring swallows model errors, so an unknown fit must fail here
+            raise KeyError(f"unknown calibration family {fit!r}")
         self.engine = engine
+        self.fit = fit
+        self.stream = stream
 
     # -- entry point ---------------------------------------------------------------
     def plan(
@@ -143,14 +162,12 @@ class Planner:
         engine = self.engine
         if workload.domain != engine.policy.domain:
             raise ValueError("workload is over a different domain than the policy")
-        from ..analysis.bounds import active_calibration_family
-
         ages = _nonzero_ages(staleness)
         with obs.tracer().span(
             "planner.compile",
             mode="auto" if optimize else "fixed",
             groups=len(workload.groups),
-            cost_model=active_calibration_family(),
+            cost_model=self.fit,
         ):
             steps = self._compile(workload, optimize, existing, ages)
             if budget is not None:
@@ -165,7 +182,7 @@ class Planner:
             mode="auto" if optimize else "fixed",
             options=engine.options,
             budget=budget,
-            cost_model=active_calibration_family(),
+            cost_model=self.fit,
         )
 
     def _compile(
@@ -239,7 +256,13 @@ class Planner:
     def _plan_range(self, group, optimize: bool, available: dict, ages: dict) -> PlanStep:
         engine = self.engine
         default = engine.strategy("range")  # may raise LookupError, as before
-        names = engine.registry.candidates("range", engine.policy) if optimize else (default,)
+        if optimize:
+            names = engine.registry.candidates("range", engine.policy)
+            if self.stream is None:
+                # one-shot compile: the continual candidates have no model
+                names = tuple(n for n in names if n not in CONTINUAL_STRATEGIES)
+        else:
+            names = (default,)
         scored: list[tuple[float | None, float, str, float | None]] = []
         for name in names:
             rmse, sens = self._score_range(name)
@@ -436,6 +459,8 @@ class Planner:
                 fanout=opts.get("fanout", 16),
                 budget_split=opts.get("budget_split", "optimal"),
                 consistent=opts.get("consistent", True),
+                fit=self.fit,
+                stream=self.stream,
             )
             return math.sqrt(mse), float(sens)
         except Exception:
@@ -457,6 +482,7 @@ class Planner:
                 engine.epsilon,
                 sensitivity=sens,
                 avg_support=group.avg_support(),
+                fit=self.fit,
             )
             return math.sqrt(mse), float(sens)
         except Exception:

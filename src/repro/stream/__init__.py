@@ -14,8 +14,8 @@ recent-enough release for free.
 Serving rides the existing planner/executor unchanged:
 :class:`StreamState` injects the continual synopses into a session's
 release map, the planner cost-scores the stream candidates against
-one-shot releases inside a scoped
-:func:`~repro.analysis.bounds.stream_context`, and the executor answers
+one-shot releases at the tick's
+:class:`~repro.analysis.bounds.StreamContext`, and the executor answers
 from whichever release the plan picked.
 """
 

@@ -38,7 +38,6 @@ from __future__ import annotations
 import numpy as np
 
 from .. import obs
-from ..analysis.bounds import stream_context
 from ..core.composition import BudgetExceededError
 from ..core.rng import ensure_rng
 from .budget import StreamBudget, node_label
@@ -180,10 +179,7 @@ class HierarchicalIntervalCounter:
             hi_tick=t,
             epsilon_charged=eps,
         ):
-            # the dyadic-node rules are stream-context-gated in the
-            # registry, so resolution happens inside the tick's context
-            with stream_context(self.budget.horizon, t, self.budget.window):
-                mech = self.engine.mechanism(self.family, self.strategy, epsilon=eps)
+            mech = self.engine.mechanism(self.family, self.strategy, epsilon=eps)
             db = stream.interval(lo, t)
             if accountant is not None:
                 # charge before any noise exists — one scoped ledger entry
@@ -282,8 +278,7 @@ class SlidingWindowReleaser:
             hi_tick=t,
             epsilon_charged=eps,
         ):
-            with stream_context(self.budget.horizon, t, window):
-                mech = self.engine.mechanism(self.family, self.strategy, epsilon=eps)
+            mech = self.engine.mechanism(self.family, self.strategy, epsilon=eps)
             db = stream.interval(lo, t)
             if accountant is not None:
                 # overlapping windows see shared arrivals: no id scope, the

@@ -24,7 +24,7 @@ whether or not a query arrives in it).
 
 from __future__ import annotations
 
-from ..analysis.bounds import stream_context
+from ..analysis.bounds import StreamContext
 from ..core.composition import BudgetExceededError
 from .budget import StreamBudget
 from .mechanisms import HierarchicalIntervalCounter, SlidingWindowReleaser
@@ -52,9 +52,9 @@ class StreamState:
         self.use_counter = False
 
     # -- planning support -----------------------------------------------------------
-    def plan_context(self):
-        """The scoped stream context one tick's planning runs under."""
-        return stream_context(
+    def plan_context(self) -> StreamContext:
+        """The stream tick the planner scores the continual candidates at."""
+        return StreamContext(
             self.budget.horizon, max(self.stream.tick, 0), self.budget.window
         )
 

@@ -23,7 +23,8 @@ import numpy as np
 import pytest
 
 from repro import Database, Domain, Policy
-from repro.api import BlowfishService, EnginePool, PlanCache
+from repro.api import BlowfishService, EnginePool, PlanCache, serve_many
+from repro.stream import synthetic_feed
 
 N_THREADS = 16
 
@@ -213,3 +214,88 @@ class TestPlanCache:
         stored = _hammer(N_THREADS, lambda i: cache.store(("k",), f"plan-{i}"))
         assert len(set(stored)) == 1
         assert cache.lookup(("k",)) == stored[0]
+
+
+class TestFitsAndStreamsUnderConcurrency:
+    """Per-dataset fits and the stream tick are explicit planner inputs, so
+    interleaved requests on datasets with different fits (and on a stream)
+    can never score under a neighbour's cost model."""
+
+    FITS = {
+        "uniform-ages": "uniform",
+        "payroll": "synthetic-grid",
+        "twitter-feed": "twitter",
+    }
+    CONTINUAL = {"hierarchical-interval", "sliding-window"}
+
+    @staticmethod
+    def _service():
+        stream, batches = synthetic_feed(domain_size=64, ticks=1, per_tick=200, rng=0)
+        domain = stream.domain
+        rng = np.random.default_rng(3)
+        db = Database.from_indices(domain, rng.integers(0, 64, 400))
+        service = BlowfishService()
+        service.register_dataset("uniform-ages", db)
+        service.register_dataset("payroll", db)
+        service.register_stream("twitter-feed", stream)
+        service.handle(
+            {"op": "append", "stream": "twitter-feed", "indices": batches[0].tolist()}
+        )
+        service.handle({"op": "tick", "stream": "twitter-feed"})
+        return service, domain
+
+    def _requests(self, domain):
+        names = sorted(self.FITS)
+        requests = []
+        for i in range(24):
+            name = names[i % 3]
+            request = {
+                "op": "plan",
+                "policy": Policy.distance_threshold(domain, 2).to_spec(),
+                "epsilon": 0.5,
+                "dataset": {"name": name},
+                # two workloads per dataset: plan-cache hits and misses mix
+                "queries": {"kind": "range_batch", "los": [i % 2, 10], "his": [40, 63]},
+                "session": f"tenant-{i}",
+                "seed": i,
+                "trace": True,
+            }
+            if name == "twitter-feed" and i % 2 == 0:
+                request["plan_budget"] = {
+                    "kind": "stream_budget", "total": 4.0, "horizon": 16
+                }
+            requests.append(request)
+        return requests
+
+    @staticmethod
+    def _spans(node, name):
+        found = [node] if node.get("name") == name else []
+        for child in node.get("children", ()):
+            found.extend(TestFitsAndStreamsUnderConcurrency._spans(child, name))
+        return found
+
+    def test_each_compile_uses_its_own_fit_and_answers_match_serial(self):
+        service, domain = self._service()
+        requests = self._requests(domain)
+        responses, _stats = serve_many(service, [dict(r) for r in requests], max_workers=4)
+        serial_service, _ = self._service()
+        serial = [serial_service.handle(dict(r)) for r in requests]
+
+        compiled = set()
+        for request, response, reference in zip(requests, responses, serial):
+            assert response["ok"], response
+            name = request["dataset"]["name"]
+            for span in self._spans(response["meta"]["trace"], "planner.compile"):
+                assert span["attributes"]["cost_model"] == self.FITS[name]
+                compiled.add(name)
+            assert response["answers"] == reference["answers"]
+            scored = {
+                n for step in response["plan"]["steps"] for n, _ in step.get("scores", ())
+            }
+            if "plan_budget" in request:
+                # a stream tick: the continual candidates compete
+                assert scored & self.CONTINUAL
+            else:
+                # one-shot: they are never even scored
+                assert not scored & self.CONTINUAL, response["plan"]["steps"]
+        assert compiled == set(self.FITS)

@@ -7,9 +7,9 @@ The acceptance claims of the ``repro.obs`` subsystem:
   the epsilon charged per release as a span attribute;
 * with metrics on, the request path populates the documented counter and
   histogram series, and ``describe`` exposes the snapshot;
-* per-dataset calibrated fits are auto-selected at registration and scope
-  planning per request (recorded on the plan span), without touching the
-  process default;
+* per-dataset calibrated fits are auto-selected at registration and passed
+  to planning per request (recorded on the plan span), so one dataset's fit
+  never leaks into another's plans;
 * a multi-worker sharded run merges per-worker snapshots into one report
   whose counters are exactly the per-worker sums.
 
@@ -24,13 +24,11 @@ import numpy as np
 import pytest
 
 from repro import Database, Domain, Policy, obs
-from repro.analysis.bounds import active_calibration_family, calibration
 from repro.api import (
     BlowfishService,
     ShardedServiceRunner,
     SQLiteLedgerStore,
 )
-from repro.api.service import default_calibration_for
 
 EPSILON = 0.5
 
@@ -199,12 +197,14 @@ class TestServiceMetrics:
 
 class TestPerDatasetCalibration:
     def test_auto_select_from_the_dataset_name(self, service):
-        service, _domain = service
-        assert default_calibration_for("uniform-ages") == "uniform"
-        assert default_calibration_for("adult-census") == "adult"
-        assert default_calibration_for("twitter-replay") == "twitter"
-        assert default_calibration_for("skin-pixels") == "skin"
-        assert default_calibration_for("payroll") is None
+        service, domain = service
+        db = Database.from_indices(domain, np.zeros(10, dtype=int))
+        for name in ("adult-census", "twitter-replay", "skin-pixels", "payroll"):
+            service.register_dataset(name, db)
+        assert service.dataset_calibration("adult-census") == "adult"
+        assert service.dataset_calibration("twitter-replay") == "twitter"
+        assert service.dataset_calibration("skin-pixels") == "skin"
+        assert service.dataset_calibration("payroll") is None
         assert service.dataset_calibration("uniform-ages") == "uniform"
         assert service.dataset_calibration("data") is None
 
@@ -222,8 +222,10 @@ class TestPerDatasetCalibration:
         assert response["ok"], response
         compile_span = _find(response["meta"]["trace"], "planner.compile")
         assert compile_span["attributes"]["cost_model"] == "uniform"
-        # scoped per request: the process default is untouched
-        assert active_calibration_family() == "synthetic-grid"
+        # per request: the next request on another dataset keeps the default
+        response = service.handle(_plan_request(domain, trace=True, session="t5"))
+        compile_span = _find(response["meta"]["trace"], "planner.compile")
+        assert compile_span["attributes"]["cost_model"] == "synthetic-grid"
 
     def test_plans_are_not_shared_across_fits(self, service):
         service, domain = service
@@ -234,15 +236,6 @@ class TestPerDatasetCalibration:
         assert first["meta"]["plan_cache"] == "miss"
         # same workload, different calibrated fit: must not hit t3's plan
         assert second["meta"]["plan_cache"] == "miss"
-
-    def test_calibration_context_manager(self):
-        assert active_calibration_family() == "synthetic-grid"
-        with calibration("uniform"):
-            assert active_calibration_family() == "uniform"
-        assert active_calibration_family() == "synthetic-grid"
-        with pytest.raises(KeyError):
-            with calibration("nope"):
-                pass
 
 
 # -- sharded runner: merged per-worker metrics --------------------------------------

@@ -182,3 +182,55 @@ class TestConstrainedNeighbors:
         assert pair_set, "constrained policy should still have neighbors"
         for a, b in pairs:
             assert (hash(b), hash(a)) in pair_set
+
+
+class TestNeighborPairsMatchesReference:
+    """``neighbor_pairs`` hoists per-pair work out of its cubic search; it
+    must list exactly the pairs, in the same order, that the
+    :func:`are_neighbors` double loop accepts."""
+
+    @staticmethod
+    def _reference(policy, universe):
+        return [
+            (d1, d2)
+            for d1 in universe
+            for d2 in universe
+            if d1 != d2 and are_neighbors(policy, d1, d2, universe=universe)
+        ]
+
+    @staticmethod
+    def _policies():
+        domain = Domain([Attribute("A1", ["a1", "a2"]), Attribute("A2", ["b1", "b2"])])
+        q1 = CountQuery(domain, lambda v: v[0] == "a1", "A1=a1")
+        q2 = CountQuery(domain, lambda v: v[0] == "a2", "A1=a2")
+        base = Database.from_values(domain, [("a1", "b1"), ("a1", "b1"), ("a2", "b1")])
+        marginal = ConstraintSet.from_database([q1, q2], base)
+        yield Policy.full_domain(domain, marginal), 3
+        # a sparse secret graph: some changes are not discriminative
+        sparse = ExplicitGraph(domain, [(0, 1), (1, 3), (2, 3)])
+        yield Policy(domain, sparse, marginal), 3
+        line = Domain.integers("v", 3)
+        low = CountQuery(line, lambda v: v[0] == 0, "v=0")
+        base = Database.from_indices(line, [0, 1, 2])
+        yield Policy.full_domain(line, ConstraintSet.from_database([low], base)), 3
+
+    def test_equals_the_are_neighbors_double_loop(self):
+        for policy, n in self._policies():
+            universe = list(enumerate_databases(policy.domain, n, policy))
+            got = neighbor_pairs(policy, n)
+            want = self._reference(policy, universe)
+            assert want, "each case should have neighbors"
+            assert [(a.indices.tolist(), b.indices.tolist()) for a, b in got] == [
+                (a.indices.tolist(), b.indices.tolist()) for a, b in want
+            ]
+
+    def test_a_universe_with_unadmitted_databases(self):
+        # databases outside I_Q are never paired, but still searched as D3,
+        # exactly as are_neighbors does with the same universe
+        policy, n = next(self._policies())
+        universe = list(enumerate_databases(policy.domain, n))
+        got = neighbor_pairs(policy, n, universe=universe)
+        want = self._reference(policy, universe)
+        assert [(a.indices.tolist(), b.indices.tolist()) for a, b in got] == [
+            (a.indices.tolist(), b.indices.tolist()) for a, b in want
+        ]

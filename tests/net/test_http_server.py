@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import logging
 import re
 import socket
 import threading
@@ -357,6 +358,33 @@ def test_internal_errors_never_leak_tracebacks():
             flat = json.dumps(response)
             assert "secret internal state" not in flat
             assert "Traceback" not in flat
+
+
+def test_internal_errors_are_logged_with_traceback_and_request_id(caplog):
+    class ExplodingService(GatedService):
+        def handle(self, request):
+            raise RuntimeError("secret internal state: /etc/passwd")
+
+    service = make_service(cls=ExplodingService)
+    caplog.set_level(logging.ERROR, logger="repro.net")
+    with ServerHarness(service) as harness:
+        with BlowfishClient(harness.host, harness.port) as client:
+            response = client.handle(seeded_request(0), request_id="req-boom-7")
+            assert client.last_status == 500
+    records = [r for r in caplog.records if r.name == "repro.net"]
+    assert len(records) == 1
+    record = records[0]
+    assert "req-boom-7" in record.getMessage()
+    assert record.exc_info is not None
+    assert isinstance(record.exc_info[1], RuntimeError)
+    assert "Traceback" in caplog.text
+    assert "secret internal state" in caplog.text
+    # the log holds the traceback; the 500 body holds neither it nor the
+    # exception's message
+    flat = json.dumps(response)
+    assert "Traceback" not in flat
+    assert "secret internal state" not in flat
+    assert response["meta"]["request_id"] == "req-boom-7"
 
 
 # -- backpressure -----------------------------------------------------------------------

@@ -403,7 +403,6 @@ class TestBudgetedPlanSpecs:
             assert needle in report, report
 
     def test_switching_calibration_fits_keys_out_cached_plans(self, domain, db):
-        from repro.analysis.bounds import calibration
         from repro.api import EnginePool
 
         pool = EnginePool()
@@ -412,16 +411,16 @@ class TestBudgetedPlanSpecs:
         plan1, outcome1 = engine.plan_with_meta(wl)
         assert outcome1 == "miss"
         assert plan1.cost_model == "synthetic-grid"
-        assert engine.plan_with_meta(wl)[1] == "hit"
-        with calibration("uniform"):
-            plan2, outcome2 = engine.plan_with_meta(wl)
-            # a different fit scored this one: never served from the cache
-            assert outcome2 == "miss"
-            assert plan2.cost_model == "uniform"
-            # the stamped plan reports the fit it was scored under, even
-            # though the active fit has moved on
-            assert "cost model: synthetic-grid" in plan1.explain()
-            assert "cost model: uniform" in plan2.explain()
+        assert engine.plan_with_meta(wl, fit="synthetic-grid")[1] == "hit"
+        plan2, outcome2 = engine.plan_with_meta(wl, fit="uniform")
+        # a different fit scored this one: never served from the cache
+        assert outcome2 == "miss"
+        assert plan2.cost_model == "uniform"
+        # each stamped plan reports the fit it was scored under
+        assert "cost model: synthetic-grid" in plan1.explain()
+        assert "cost model: uniform" in plan2.explain()
+        with pytest.raises(KeyError, match="unknown calibration family"):
+            engine.plan_with_meta(wl, fit="nope")
 
     def test_optional_flag_survives_workload_specs(self, domain, db):
         wl = _mixed_workload(domain, db, linear_optional=True)

@@ -324,3 +324,23 @@ def test_stream_and_dataset_names_share_a_namespace():
         svc.register_stream("pinned", stream)
     assert svc.streams() == ("feed",)
     assert svc.datasets() == ("pinned",)
+
+
+def test_explain_without_a_session_previews_the_plan_it_precedes():
+    # no session is open yet: the preview must still plan at the stream's
+    # tick, so the continual candidates compete exactly as in op "plan"
+    svc = BlowfishService()
+    stream, batches = synthetic_feed(domain_size=SIZE, ticks=1, per_tick=200, rng=0)
+    svc.register_stream("feed", stream)
+    svc.handle({"op": "append", "stream": "feed", "indices": batches[0].tolist()})
+    svc.handle({"op": "tick", "stream": "feed"})
+    req = _plan_request(
+        plan_budget={"kind": "stream_budget", "total": 4, "horizon": 16},
+        session="s1",
+    )
+    explained = svc.handle(dict(req, op="explain"))
+    planned = svc.handle(req)
+    assert explained["ok"] and planned["ok"], (explained, planned)
+    previewed = [s["strategy"] for s in explained["plan"]["steps"]]
+    ran = [s["strategy"] for s in planned["plan"]["steps"]]
+    assert previewed == ran == ["hierarchical-interval"]
