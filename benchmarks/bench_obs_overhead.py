@@ -8,7 +8,7 @@ recorded event.  This benchmark submits the same 10k-query range batch
 through ``BlowfishService.handle`` under three configurations —
 
 * **off** — metrics and tracing disabled (the no-op singletons),
-* **metrics** — the striped registry on, tracing off (the expected
+* **metrics** — the metrics registry on, tracing off (the expected
   production default),
 * **tracing** — metrics on plus a process-wide tracer (every request
   builds its span tree),

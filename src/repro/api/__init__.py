@@ -17,7 +17,7 @@ queries answered under it — first-class *data*:
   free post-processing;
 * **service** (:mod:`repro.api.service`) — :class:`BlowfishService` is the
   pure-JSON boundary: ``handle(request_dict) -> response_dict``;
-* **serving tier** — :mod:`repro.api.striping` (key-hash striped LRU maps
+* **serving tier** — :mod:`repro.api.lru` (the one-lock, exact-LRU map
   behind every service-level cache), :mod:`repro.api.ledger` (pluggable
   budget-ledger stores: in-memory default, SQLite for cross-process
   truth), :mod:`repro.api.async_service` (asyncio façade with in-flight
@@ -58,11 +58,11 @@ from .ledger import (
     SQLiteLedgerStore,
     parallel_aware_totals,
 )
+from .lru import LRUMap
 from .pool import EnginePool, PlanCache
 from .service import BlowfishService
 from .session import Session
 from .specs import SPEC_VERSION, SpecError, from_spec, spec_digest, to_spec
-from .striping import LockStripes, StripedLRU
 from .workers import ShardedRunResult, ShardedServiceRunner
 
 __all__ = [
@@ -72,7 +72,7 @@ __all__ = [
     "InMemoryLedgerStore",
     "LedgerStore",
     "LedgerStoreError",
-    "LockStripes",
+    "LRUMap",
     "PlanCache",
     "SQLiteLedgerStore",
     "ServiceDraining",
@@ -81,7 +81,6 @@ __all__ = [
     "ShardedServiceRunner",
     "SpecError",
     "SPEC_VERSION",
-    "StripedLRU",
     "parallel_aware_totals",
     "serve_many",
     "to_spec",

@@ -8,9 +8,10 @@ at one process — a second worker would happily re-spend a budget the first
 already exhausted.  This module extracts the truth behind a small store
 interface so where the ledger lives is a deployment choice:
 
-* :class:`InMemoryLedgerStore` — the default for a single process; spend
-  lists sharded under :class:`~repro.api.striping.LockStripes` so sessions
-  on different keys never contend.
+* :class:`InMemoryLedgerStore` — the default for a single process (and
+  every accountant's private store); one lock makes each compare-and-spend
+  atomic.  It lives in :mod:`repro.core.composition` beside the
+  :class:`LedgerStore` contract and is re-exported here.
 * :class:`SQLiteLedgerStore` — a file shared by any number of worker
   processes; every charge is an atomic compare-and-spend inside a SQLite
   ``BEGIN IMMEDIATE`` transaction, so concurrent workers can never jointly
@@ -42,10 +43,12 @@ from .. import obs
 from ..core.composition import (
     BUDGET_SLACK,
     BudgetExceededError,
+    InMemoryLedgerStore,
     LedgerEntry,
+    LedgerStore,
     PrivacyAccountant,
+    _check_epsilon,
 )
-from .striping import LockStripes
 
 __all__ = [
     "LedgerStore",
@@ -61,115 +64,6 @@ class LedgerStoreError(RuntimeError):
     corrupted database file, writer slot never freed, schema missing.
     Raised instead of leaking backend-specific exceptions (or hanging) so
     operators see which ledger file is broken and why."""
-
-
-class LedgerStore:
-    """What a budget ledger must do; see module docstring for the contract.
-
-    ``charge`` is the load-bearing method: it must atomically check the
-    proposed new total against ``budget`` (refusing with
-    :class:`BudgetExceededError` when it exceeds the cap by more than
-    ``BUDGET_SLACK``) and record the spend, such that no interleaving of
-    concurrent chargers — threads or processes, as the implementation
-    supports — admits a combined total above the cap or loses a spend.
-    ``PrivacyAccountant`` only requires this duck type, not the base class.
-    """
-
-    def charge(
-        self,
-        key: str,
-        epsilon: float,
-        *,
-        label: str = "",
-        budget: float | None = None,
-        ids: frozenset[int] | None = None,
-    ) -> float:
-        """Atomically record a spend; returns the new total for ``key``."""
-        raise NotImplementedError
-
-    def total(self, key: str) -> float:
-        """The sequential-composition total spent under ``key``."""
-        raise NotImplementedError
-
-    def entries(self, key: str) -> list[LedgerEntry]:
-        """Every spend recorded under ``key``, in charge order."""
-        raise NotImplementedError
-
-    def keys(self) -> list[str]:
-        """Every key with at least one recorded spend."""
-        raise NotImplementedError
-
-    def clear(self, key: str | None = None) -> None:
-        """Forget ``key``'s spends (or everything) — test/ops tooling only."""
-        raise NotImplementedError
-
-
-def _check_epsilon(epsilon: float) -> float:
-    epsilon = float(epsilon)
-    if epsilon < 0:
-        raise ValueError("epsilon must be non-negative")
-    return epsilon
-
-
-class InMemoryLedgerStore(LedgerStore):
-    """Striped in-process ledger: the single-process default.
-
-    Semantically the accountant's old private spend list, with two
-    upgrades: many sessions share one store (keyed), and the
-    compare-and-spend is atomic under the key's stripe lock, so it no
-    longer relies on the caller serializing spends.  Keys on different
-    stripes never contend.
-    """
-
-    def __init__(self, *, stripes: int = 16):
-        self._stripes = LockStripes(stripes)
-        self._entries: dict[str, list[LedgerEntry]] = {}
-
-    def charge(
-        self,
-        key: str,
-        epsilon: float,
-        *,
-        label: str = "",
-        budget: float | None = None,
-        ids: frozenset[int] | None = None,
-    ) -> float:
-        epsilon = _check_epsilon(epsilon)
-        reg = obs.metrics()
-        reg.counter("ledger_charge_attempts_total", backend="memory").inc()
-        with self._stripes.lock_for(key):
-            entries = self._entries.setdefault(key, [])
-            new_total = sum(e.epsilon for e in entries) + epsilon
-            if budget is not None and new_total > budget + BUDGET_SLACK:
-                reg.counter("ledger_charge_denials_total", backend="memory").inc()
-                raise BudgetExceededError(epsilon, new_total, budget)
-            entries.append(LedgerEntry(label, epsilon, ids))
-            return new_total
-
-    def total(self, key: str) -> float:
-        with self._stripes.lock_for(key):
-            return float(sum(e.epsilon for e in self._entries.get(key, ())))
-
-    def entries(self, key: str) -> list[LedgerEntry]:
-        with self._stripes.lock_for(key):
-            return list(self._entries.get(key, ()))
-
-    def keys(self) -> list[str]:
-        # dict iteration is safe against concurrent setdefault in CPython,
-        # but take the stripes one by one so entry lists are never mid-append
-        return [k for k in list(self._entries) if self._entries.get(k)]
-
-    def clear(self, key: str | None = None) -> None:
-        if key is not None:
-            with self._stripes.lock_for(key):
-                self._entries.pop(key, None)
-            return
-        for k in list(self._entries):
-            with self._stripes.lock_for(k):
-                self._entries.pop(k, None)
-
-    def __repr__(self) -> str:
-        return f"InMemoryLedgerStore(keys={len(self.keys())}, stripes={len(self._stripes)})"
 
 
 class SQLiteLedgerStore(LedgerStore):

@@ -16,12 +16,10 @@ workload digest, existing-release state)``, so they are shared the same way
 engines are — heavy repeated multi-tenant traffic skips candidate scoring
 entirely.  Every engine the pool builds gets a reference to this cache.
 
-Both caches sit on :class:`~repro.api.striping.StripedLRU`: map access is
-sharded by key hash so unrelated tenants never contend on one lock, builds
-happen outside any lock, and a double-checked per-stripe insert prefers the
-incumbent so racing callers converge on one shared object per key.  Small
-caches collapse to a single stripe, where eviction order is exact global
-LRU.
+Both caches sit on :class:`~repro.api.lru.LRUMap`: one lock held only for
+the map access itself, builds outside it, exact global LRU eviction, and a
+double-checked insert that prefers the incumbent so racing callers
+converge on one shared object per key.
 """
 
 from __future__ import annotations
@@ -34,13 +32,13 @@ from ..engine.engine import PolicyEngine
 from ..engine.fingerprint import options_key as _options_key
 from ..engine.fingerprint import policy_fingerprint
 from ..engine.registry import MechanismRegistry
-from .striping import StripedLRU
+from .lru import LRUMap
 
 __all__ = ["EnginePool", "PlanCache"]
 
 
 class PlanCache:
-    """A striped, thread-safe LRU map from plan-identity keys to ``Plan`` s.
+    """A thread-safe LRU map from plan-identity keys to ``Plan`` s.
 
     Keys are built by :meth:`repro.engine.PolicyEngine.plan_with_meta` from
     everything a compiled plan depends on: policy fingerprint, epsilon,
@@ -56,33 +54,18 @@ class PlanCache:
     ``max_bytes`` caps the *accumulated payload bytes* — a cached plan
     retains its workload's packed arrays (the executor reads them; a 1k
     count-mask stack over a 50k domain is ~50 MB), so entry counts alone
-    would let a handful of wide workloads pin gigabytes.  Both bounds
-    divide across the stripes; eviction is LRU within a stripe, and a
-    single plan larger than one stripe's byte share is returned uncached
+    would let a handful of wide workloads pin gigabytes.  Eviction is
+    LRU, and a single plan larger than ``max_bytes`` is returned uncached
     (counted in ``oversize``) rather than evicting everything else.
     """
 
-    def __init__(
-        self,
-        maxsize: int = 256,
-        max_bytes: int = 256 * 1024 * 1024,
-        *,
-        stripes: int | None = None,
-    ):
-        if maxsize <= 0:
-            raise ValueError("maxsize must be positive")
-        if max_bytes <= 0:
-            raise ValueError("max_bytes must be positive")
+    def __init__(self, maxsize: int = 256, max_bytes: int = 256 * 1024 * 1024):
+        self._lru = LRUMap(maxsize, max_bytes=max_bytes)
         self.maxsize = maxsize
         self.max_bytes = int(max_bytes)
-        self._lru = StripedLRU(maxsize, stripes=stripes, max_bytes=max_bytes)
         self._oversize_lock = Lock()
         self.oversize = 0
         self.payload_bytes_saved = 0
-
-    @property
-    def stripes(self) -> int:
-        return self._lru.stripes
 
     def lookup(self, key: tuple):
         """The cached plan for ``key``, or None (counted as a miss)."""
@@ -116,9 +99,9 @@ class PlanCache:
                     self.payload_bytes_saved += saved
         sizer = getattr(plan, "nbytes", None)
         nbytes = int(sizer()) if callable(sizer) else 0
-        if nbytes > self._lru.stripe_max_bytes:
-            # caching it would evict the stripe's entire working set for one
-            # tenant's monster workload; hand the plan back uncached instead
+        if nbytes > self.max_bytes:
+            # caching it would evict the entire working set for one tenant's
+            # monster workload; hand the plan back uncached instead
             with self._oversize_lock:
                 self.oversize += 1
             return plan
@@ -157,9 +140,8 @@ class EnginePool:
     Parameters
     ----------
     maxsize:
-        Engine count bound; the least recently used engine (within the
-        stripe its key hashes to) is dropped when a new one would exceed
-        the stripe's share of it.  Dropped engines lose their memoized
+        Engine count bound; the least recently used engine is dropped
+        when a new one would exceed it.  Dropped engines lose their memoized
         mechanisms but not their sensitivities (those live in the shared
         :class:`SensitivityCache`, keyed by the same fingerprints).
     registry, cache:
@@ -169,10 +151,6 @@ class EnginePool:
         The shared :class:`PlanCache` handed to every constructed engine;
         defaults to a fresh one.  Pass your own to share plans across pools
         or to size it differently.
-    stripes:
-        Lock-stripe count, defaulting to
-        :func:`~repro.api.striping.default_stripes` (small pools keep one
-        stripe and with it the exact global LRU order).
     """
 
     def __init__(
@@ -182,19 +160,12 @@ class EnginePool:
         registry: MechanismRegistry | None = None,
         cache: SensitivityCache | None = None,
         plan_cache: PlanCache | None = None,
-        stripes: int | None = None,
     ):
-        if maxsize <= 0:
-            raise ValueError("maxsize must be positive")
+        self._engines = LRUMap(maxsize)
         self.maxsize = maxsize
         self._registry = registry
         self._cache = cache
         self.plan_cache = plan_cache if plan_cache is not None else PlanCache()
-        self._engines = StripedLRU(maxsize, stripes=stripes)
-
-    @property
-    def stripes(self) -> int:
-        return self._engines.stripes
 
     def key(self, policy: Policy, epsilon: float, options: dict | None = None) -> tuple:
         """The pool key an engine for these parameters lives under."""
@@ -215,7 +186,7 @@ class EnginePool:
     ) -> tuple[PolicyEngine, str]:
         """:meth:`get`, plus ``"hit"``/``"miss"`` for *this call*.
 
-        The flag is decided inside the stripe's critical section that
+        The flag is decided inside the map's critical section that
         served the call — never inferred from before/after deltas of the
         traffic counters, which a concurrent tenant's requests would
         corrupt.  Engine construction happens outside any lock; a racing
@@ -243,10 +214,6 @@ class EnginePool:
         operators can watch engine churn without instrumenting the pool.
         """
         return self._engines.stats()
-
-    def info(self) -> dict[str, int]:
-        """Alias of :meth:`stats` — the name this class shipped with."""
-        return self.stats()
 
     def clear(self) -> None:
         self._engines.clear()

@@ -67,12 +67,12 @@ compiled plans are shared across tenants through its
 repeat queries as free post-processing.
 
 ``handle`` is safe to call from any number of threads.  The session and
-policy maps are key-hash striped (:class:`~repro.api.striping.StripedLRU`):
-lookups and double-checked inserts lock only the stripe the key hashes to,
-so requests for unrelated tenants never contend, while exactly one
+policy maps are exact-LRU :class:`~repro.api.lru.LRUMap` s: each holds
+its lock only for a lookup, insert or eviction, and exactly one
 :class:`Session` ledger ever exists per key — concurrent requests against
 one session serialize on that session's own lock and budget spends are
-never lost.
+never lost.  Eviction is global LRU, so no session is forgotten while
+fewer than ``max_sessions`` are open.
 
 Where budgets are *stored* is pluggable: pass ``ledger_store`` (see
 :mod:`repro.api.ledger`) and every named session's accountant charges a
@@ -104,10 +104,10 @@ from ..core.rng import ensure_rng
 from ..core.specbase import SpecError, check_version, spec_get
 from ..plan import PlanBudget, Workload
 from ..plan.workload import ANY_AGE, validate_range_arrays
+from .lru import LRUMap
 from .pool import EnginePool, _options_key
 from .session import Session
 from .specs import spec_digest
-from .striping import StripedLRU
 
 __all__ = ["BlowfishService"]
 
@@ -161,11 +161,10 @@ class BlowfishService:
         self._checker = SpecChecker()
         self._datasets: dict[str, Database] = {}
         self._streams: dict = {}
-        # striped LRU maps: a request locks only the stripe its key hashes
-        # to, and only for lookup/insert/evict — parsing, planning and
-        # answering all happen outside any service-level lock
-        self._sessions = StripedLRU(max_sessions)
-        self._policies = StripedLRU(max_policies)
+        # exact-LRU maps locked only for lookup/insert/evict — parsing,
+        # planning and answering all happen outside any service-level lock
+        self._sessions = LRUMap(max_sessions)
+        self._policies = LRUMap(max_policies)
         self._datasets_lock = Lock()
         self._dataset_fits: dict[str, str | None] = {}
 
@@ -368,7 +367,7 @@ class BlowfishService:
             return policy
         # parse outside any lock (graph construction can be expensive);
         # racing parsers of one digest yield interchangeable policies and
-        # the stripe's double-checked insert keeps the incumbent
+        # the map's double-checked insert keeps the incumbent
         policy = Policy.from_spec(spec, "request.policy")
         if self.strict_check:
             # once per digest: memoized policies were already admitted
@@ -509,7 +508,7 @@ class BlowfishService:
             # ephemeral: ledger and releases live for this request only
             return build_raw(), None, None
         key = self._session_key(session_id, engine, dataset_key, options, stream_budget)
-        # build_raw runs under the key's stripe lock (construction is cheap
+        # build_raw runs under the map's lock (construction is cheap
         # — no data is touched) so racing openers of a brand-new key can
         # never build two ledgers and drop one mid-spend
         session, created = self._sessions.get_or_create(key, build_raw)
@@ -827,7 +826,7 @@ class BlowfishService:
         The active registry's instruments (request counters/latencies,
         ledger charge series, plan/release counters) plus series derived
         from this service's own state: hit/miss/eviction counters for the
-        session/policy/engine/plan maps (their striped-LRU internals stay
+        session/policy/engine/plan maps (their LRU internals stay
         untouched — the registry view is read out here, at snapshot time)
         and per-ledger-key spent-epsilon budget gauges read through the
         :class:`~repro.api.ledger.LedgerStore` seam.  The shape is what

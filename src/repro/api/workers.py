@@ -4,8 +4,8 @@ One :class:`~repro.api.service.BlowfishService` per process, requests
 sharded across processes by session affinity, budget truth shared through a
 :class:`~repro.api.ledger.LedgerStore` (typically
 :class:`~repro.api.ledger.SQLiteLedgerStore` on a common path).  This is
-the process-level tier above the in-process striping
-(:mod:`repro.api.striping`) and the asyncio front end
+the process-level tier above the in-process LRU maps
+(:mod:`repro.api.lru`) and the asyncio front end
 (:mod:`repro.api.async_service`): each worker runs its requests through an
 :class:`AsyncBlowfishService`, so in-flight coalescing applies per shard.
 

@@ -21,9 +21,11 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from threading import Lock
 
 import numpy as np
 
+from .. import obs
 from .graphs import (
     CODE_PAIR_BUDGET,
     EDGE_SCAN_LIMIT,
@@ -44,6 +46,8 @@ __all__ = [
     "BudgetExceededError",
     "BUDGET_SLACK",
     "LedgerEntry",
+    "LedgerStore",
+    "InMemoryLedgerStore",
     "PrivacyAccountant",
 ]
 
@@ -231,22 +235,17 @@ class LedgerEntry:
     ids: frozenset[int] | None = None
 
 
-class _PrivateLedger:
-    """The default, accountant-private spend list.
+class LedgerStore:
+    """What a budget ledger must do: atomic compare-and-spend per key.
 
-    The behaviour accountants always had: one in-process list, no
-    synchronization of its own (callers — :class:`repro.api.Session` — hold
-    their own lock around spend paths).  Shareable stores with real
-    concurrency and persistence guarantees live in :mod:`repro.api.ledger`
-    and implement this same ``charge``/``total``/``entries`` surface; the
-    ``key`` argument exists for that interface and is ignored here, since a
-    private ledger serves exactly one accountant.
+    ``charge`` is the load-bearing method: it must atomically check the
+    proposed new total against ``budget`` (refusing with
+    :class:`BudgetExceededError` when it exceeds the cap by more than
+    ``BUDGET_SLACK``) and record the spend, such that no interleaving of
+    concurrent chargers — threads or processes, as the implementation
+    supports — admits a combined total above the cap or loses a spend.
+    ``PrivacyAccountant`` only requires this duck type, not the base class.
     """
-
-    __slots__ = ("_entries",)
-
-    def __init__(self):
-        self._entries: list[LedgerEntry] = []
 
     def charge(
         self,
@@ -257,18 +256,88 @@ class _PrivateLedger:
         budget: float | None = None,
         ids: frozenset[int] | None = None,
     ) -> float:
-        total = sum(e.epsilon for e in self._entries)
-        new_total = total + epsilon
-        if budget is not None and new_total > budget + BUDGET_SLACK:
-            raise BudgetExceededError(epsilon, new_total, budget)
-        self._entries.append(LedgerEntry(label, float(epsilon), ids))
-        return new_total
+        """Atomically record a spend; returns the new total for ``key``."""
+        raise NotImplementedError
 
     def total(self, key: str) -> float:
-        return float(sum(e.epsilon for e in self._entries))
+        """The sequential-composition total spent under ``key``."""
+        raise NotImplementedError
 
     def entries(self, key: str) -> list[LedgerEntry]:
-        return list(self._entries)
+        """Every spend recorded under ``key``, in charge order."""
+        raise NotImplementedError
+
+    def keys(self) -> list[str]:
+        """Every key with at least one recorded spend."""
+        raise NotImplementedError
+
+    def clear(self, key: str | None = None) -> None:
+        """Forget ``key``'s spends (or everything) — test/ops tooling only."""
+        raise NotImplementedError
+
+
+def _check_epsilon(epsilon: float) -> float:
+    epsilon = float(epsilon)
+    if epsilon < 0:
+        raise ValueError("epsilon must be non-negative")
+    return epsilon
+
+
+class InMemoryLedgerStore(LedgerStore):
+    """In-process ledger: every accountant's default store.
+
+    An accountant built without a ``store`` gets a private instance; a
+    service passes one shared instance to every session, keyed by session
+    identity.  The compare-and-spend is atomic under the store's lock, so
+    it never relies on the caller serializing spends.
+    """
+
+    def __init__(self):
+        self._lock = Lock()
+        self._entries: dict[str, list[LedgerEntry]] = {}
+
+    def charge(
+        self,
+        key: str,
+        epsilon: float,
+        *,
+        label: str = "",
+        budget: float | None = None,
+        ids: frozenset[int] | None = None,
+    ) -> float:
+        epsilon = _check_epsilon(epsilon)
+        reg = obs.metrics()
+        reg.counter("ledger_charge_attempts_total", backend="memory").inc()
+        with self._lock:
+            entries = self._entries.setdefault(key, [])
+            new_total = sum(e.epsilon for e in entries) + epsilon
+            if budget is not None and new_total > budget + BUDGET_SLACK:
+                reg.counter("ledger_charge_denials_total", backend="memory").inc()
+                raise BudgetExceededError(epsilon, new_total, budget)
+            entries.append(LedgerEntry(label, epsilon, ids))
+            return new_total
+
+    def total(self, key: str) -> float:
+        with self._lock:
+            return float(sum(e.epsilon for e in self._entries.get(key, ())))
+
+    def entries(self, key: str) -> list[LedgerEntry]:
+        with self._lock:
+            return list(self._entries.get(key, ()))
+
+    def keys(self) -> list[str]:
+        with self._lock:
+            return [k for k, entries in self._entries.items() if entries]
+
+    def clear(self, key: str | None = None) -> None:
+        with self._lock:
+            if key is None:
+                self._entries.clear()
+            else:
+                self._entries.pop(key, None)
+
+    def __repr__(self) -> str:
+        return f"InMemoryLedgerStore(keys={len(self.keys())})"
 
 
 class PrivacyAccountant:
@@ -280,14 +349,12 @@ class PrivacyAccountant:
     when the policy allows it.
 
     Spent state lives behind a *ledger store* rather than in the accountant
-    itself.  By default that store is private and in-process (exactly the
-    old list-of-spends behaviour); passing ``store``/``key`` instead binds
-    the accountant to a shared ledger — striped in-memory across threads,
-    or SQLite across worker processes (:mod:`repro.api.ledger`) — so every
-    accountant bound to the same key charges against one budget truth.
-    The compare-and-spend is then as atomic as the store makes it; with the
-    default private store the caller's session lock provides the atomicity,
-    as before.
+    itself.  By default that store is a private
+    :class:`InMemoryLedgerStore`; passing ``store``/``key`` instead binds
+    the accountant to a shared ledger — in-memory across threads, or
+    SQLite across worker processes (:mod:`repro.api.ledger`) — so every
+    accountant bound to the same key charges against one budget truth,
+    with the compare-and-spend as atomic as the store makes it.
     """
 
     def __init__(
@@ -302,7 +369,7 @@ class PrivacyAccountant:
             raise ValueError("budget must be positive")
         self.policy = policy
         self.budget = budget
-        self.store = store if store is not None else _PrivateLedger()
+        self.store = store if store is not None else InMemoryLedgerStore()
         self.key = str(key)
 
     def spend(self, epsilon: float, label: str = "", ids: Sequence[int] | None = None) -> None:

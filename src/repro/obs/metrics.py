@@ -1,19 +1,17 @@
-"""Lock-striped counters, gauges and fixed-bucket latency histograms.
+"""Counters, gauges and fixed-bucket latency histograms.
 
 The serving tier records a handful of events per request (request counts,
-latency observations, cache outcomes, ledger charges), so the registry is
-built the same way :class:`repro.api.striping.StripedLRU` is built: the
-instrument table is sharded by key hash, and every instrument carries its
-own lock — two threads recording unrelated metrics never contend, and two
-threads recording the *same* metric contend only on that one instrument's
-tiny critical section, never on a registry-wide lock.
+latency observations, cache outcomes, ledger charges).  Every instrument
+carries its own lock, so two threads recording the *same* metric contend
+only on that one instrument's tiny critical section; the registry's own
+lock guards only instrument *creation*, never recording.
 
 Instruments are identified by ``(name, labels)``; ``counter("requests",
 op="answer")`` and ``counter("requests", op="plan")`` are two independent
 series of one metric, exactly the Prometheus data model the exporter
 (:mod:`repro.obs.export`) renders.  Creation is get-or-create: asking for
 an existing series returns the live instrument, so hot paths may resolve
-by name per call (two dict probes under a stripe lock) or hold the
+by name per call (one lock-free dict probe) or hold the
 instrument object and skip the probe entirely.
 
 Three instrument kinds:
@@ -188,14 +186,10 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """A striped get-or-create table of instruments plus snapshot export.
+    """A get-or-create table of instruments plus snapshot export.
 
-    Parameters
-    ----------
-    stripes:
-        Lock-stripe count for the instrument table.  Only instrument
-        *creation* and snapshotting touch these locks; recording locks the
-        individual instrument.
+    Only instrument *creation* and :meth:`clear` take the registry's lock;
+    recording locks the individual instrument.
 
     ``snapshot()`` returns the JSON-ready report the exporters consume:
     every counter/gauge/histogram sample, plus the output of registered
@@ -206,10 +200,8 @@ class MetricsRegistry:
     methods, so registering a service does not pin it in memory.
     """
 
-    def __init__(self, *, stripes: int = 16):
-        if stripes <= 0:
-            raise ValueError("stripes must be positive")
-        self._locks = tuple(Lock() for _ in range(stripes))
+    def __init__(self):
+        self._lock = Lock()
         self._instruments: dict[tuple, object] = {}
         self._collectors_lock = Lock()
         self._collectors: list = []
@@ -221,8 +213,7 @@ class MetricsRegistry:
         inst = self._instruments.get(key)
         if inst is not None:
             return inst
-        lock = self._locks[hash(key) % len(self._locks)]
-        with lock:
+        with self._lock:
             inst = self._instruments.get(key)
             if inst is None:
                 inst = self._instruments[key] = factory()
@@ -316,13 +307,8 @@ class MetricsRegistry:
         """Drop every instrument and collector (test isolation tooling)."""
         with self._collectors_lock:
             self._collectors = []
-        for lock in self._locks:
-            lock.acquire()
-        try:
+        with self._lock:
             self._instruments = {}
-        finally:
-            for lock in self._locks:
-                lock.release()
 
     def __len__(self) -> int:
         return len(self._instruments)

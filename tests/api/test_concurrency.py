@@ -215,6 +215,22 @@ class TestPlanCache:
         assert len(set(stored)) == 1
         assert cache.lookup(("k",)) == stored[0]
 
+    def test_only_a_plan_larger_than_max_bytes_goes_uncached(self):
+        class Sized:
+            def __init__(self, n):
+                self.n = n
+
+            def nbytes(self):
+                return self.n
+
+        cache = PlanCache(maxsize=256, max_bytes=1_000)
+        fits, big = Sized(900), Sized(1_001)
+        assert cache.store(("fits",), fits) is fits
+        assert cache.store(("big",), big) is big
+        assert ("fits",) in cache and ("big",) not in cache
+        stats = cache.stats()
+        assert stats["oversize"] == 1 and stats["bytes"] == 900
+
 
 class TestFitsAndStreamsUnderConcurrency:
     """Per-dataset fits and the stream tick are explicit planner inputs, so

@@ -279,6 +279,40 @@ class TestSharedLedgerServices:
         assert r4["meta"]["session_total"] == pytest.approx(1.0)
 
 
+class TestSessionBound:
+    """Below ``max_sessions`` no session is forgotten, so a repeated read is
+    answered from the held release and charged once."""
+
+    def test_every_tenant_pays_once_at_the_bound(self):
+        n, epsilon = 64, 0.5
+        domain = Domain.integers("v", 100)
+        db = Database.from_indices(domain, np.random.default_rng(5).integers(0, 100, 1_000))
+        store = InMemoryLedgerStore()
+        service = BlowfishService(ledger_store=store, max_sessions=n)
+        service.register_dataset("data", db)
+        policy = Policy.line(domain).to_spec()
+        for _ in range(2):
+            for tenant in range(n):
+                resp = service.handle(
+                    {
+                        "policy": policy,
+                        "epsilon": epsilon,
+                        "dataset": {"name": "data"},
+                        "queries": [{"kind": "range", "lo": 10, "hi": 60}],
+                        "session": f"tenant-{tenant}",
+                        "seed": tenant,
+                    }
+                )
+                assert resp["ok"], resp
+        assert sum(store.total(key) for key in store.keys()) == n * epsilon
+        (evictions,) = [
+            c["value"]
+            for c in service.metrics_snapshot()["counters"]
+            if c["name"] == "lru_evictions_total" and c["labels"] == {"map": "sessions"}
+        ]
+        assert evictions == 0
+
+
 # -- refusals before the charge -------------------------------------------------------
 
 

@@ -1,11 +1,12 @@
-"""Striped locks and LRU maps: the serving tier's concurrency primitives.
+"""The serving tier's LRU map: one lock, exact global LRU order.
 
 Mirrors :mod:`tests.api.test_concurrency`'s barrier-released thread pools,
-but aimed at the primitives directly: per-key exclusivity under
-:class:`LockStripes`, one-value-per-key under racing ``adopt`` and
-``get_or_create``, exact single-stripe LRU semantics, aggregate bounds,
-and the counter contract (get counts hits only; adopt/get_or_create count
-the miss; a racing cohort reports exactly one miss and N-1 hits).
+but aimed at :class:`~repro.api.lru.LRUMap` directly: exact LRU semantics,
+the entry and byte bounds (a map filled to exactly ``maxsize`` distinct
+keys evicts nothing), one-value-per-key under racing ``adopt`` and
+``get_or_create``, and the counter contract (get counts hits only;
+adopt/get_or_create count the miss; a racing cohort reports exactly one
+miss and N-1 hits).
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ import threading
 
 import pytest
 
-from repro.api import LockStripes, StripedLRU
-from repro.api.striping import DEFAULT_STRIPES, default_stripes
+from repro.api import LRUMap
 
 N_THREADS = 16
 
@@ -41,49 +41,11 @@ def _hammer(n_threads, worker):
     return results
 
 
-class TestLockStripes:
-    def test_same_key_same_lock(self):
-        stripes = LockStripes(8)
-        assert stripes.lock_for("k") is stripes.lock_for("k")
-        assert len(stripes) == 8
-
-    def test_mutual_exclusion_per_key(self):
-        stripes = LockStripes(4)
-        counter = {"v": 0}
-
-        def worker(i):
-            for _ in range(200):
-                with stripes.lock_for("hot"):
-                    counter["v"] += 1
-
-        _hammer(N_THREADS, worker)
-        assert counter["v"] == N_THREADS * 200
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            LockStripes(0)
-
-
-class TestDefaultStripes:
-    def test_small_maps_collapse_to_one_stripe(self):
-        # the collapse is what preserves exact global LRU for the small
-        # maps the pre-striping tests pin down (PlanCache(maxsize=2) etc.)
-        assert default_stripes(2) == 1
-        assert default_stripes(15) == 1
-        assert default_stripes(16) == 2
-        assert default_stripes(10_000) == DEFAULT_STRIPES
-
-    def test_constructor_uses_it(self):
-        assert StripedLRU(8).stripes == 1
-        assert StripedLRU(256).stripes == DEFAULT_STRIPES
-        assert StripedLRU(256, stripes=3).stripes == 3
-
-
 class TestSingleStripeLRU:
-    """With stripes=1 the map must be bit-for-bit the old global LRU."""
+    """Eviction order, peeks, byte bounds and counters of one map."""
 
     def test_exact_lru_order_and_stats(self):
-        lru = StripedLRU(2, stripes=1)
+        lru = LRUMap(2)
         assert lru.get("a") is None
         lru.record_miss("a")
         lru.adopt("a", "A", count=False)
@@ -98,7 +60,7 @@ class TestSingleStripeLRU:
         assert len(lru) == 2 and "a" in lru and "b" not in lru
 
     def test_peek_is_invisible(self):
-        lru = StripedLRU(2, stripes=1)
+        lru = LRUMap(2)
         lru.adopt("a", "A", count=False)
         lru.adopt("b", "B", count=False)
         assert lru.peek("a") == "A"  # no refresh...
@@ -107,7 +69,7 @@ class TestSingleStripeLRU:
         assert lru.stats()["hits"] == 0
 
     def test_byte_bound_evicts_lru_first(self):
-        lru = StripedLRU(100, stripes=1, max_bytes=10)
+        lru = LRUMap(100, max_bytes=10)
         lru.adopt("a", "A", nbytes=4, count=False)
         lru.adopt("b", "B", nbytes=4, count=False)
         lru.adopt("c", "C", nbytes=4, count=False)  # 12 bytes > 10: drop "a"
@@ -117,7 +79,7 @@ class TestSingleStripeLRU:
         assert stats["evictions"] == 1
 
     def test_clear_keeps_counters(self):
-        lru = StripedLRU(4, stripes=1)
+        lru = LRUMap(4)
         lru.adopt("a", "A")
         lru.get("a")
         lru.clear()
@@ -127,14 +89,18 @@ class TestSingleStripeLRU:
 
 class TestStripedBounds:
     def test_aggregate_size_never_exceeds_maxsize(self):
-        lru = StripedLRU(64, stripes=8)
-        for i in range(1_000):
+        lru = LRUMap(64)
+        for i in range(64):
+            lru.adopt(f"k{i}", i, count=False)
+        # exactly maxsize distinct keys: nothing is forgotten below the bound
+        assert len(lru) == 64 and lru.stats()["evictions"] == 0
+        for i in range(64, 1_000):
             lru.adopt(f"k{i}", i, count=False)
         assert len(lru) <= 64
         assert lru.stats()["size"] == len(lru)
 
     def test_values_snapshot(self):
-        lru = StripedLRU(64, stripes=8)
+        lru = LRUMap(64)
         for i in range(10):
             lru.adopt(f"k{i}", i, count=False)
         assert sorted(lru.values()) == list(range(10))
@@ -142,7 +108,7 @@ class TestStripedBounds:
 
 class TestRacingAdopt:
     def test_first_insert_wins_everyone_adopts_it(self):
-        lru = StripedLRU(256)
+        lru = LRUMap(256)
         results = _hammer(N_THREADS, lambda i: lru.adopt("key", f"value-{i}"))
         winners = {id(v) for v, _ in results}
         assert len(winners) == 1
@@ -153,7 +119,7 @@ class TestRacingAdopt:
 
     def test_get_then_adopt_counts_one_event_per_call(self):
         # the EnginePool pattern: get (absence uncounted) then adopt
-        lru = StripedLRU(256)
+        lru = LRUMap(256)
 
         def worker(i):
             value = lru.get("key")
@@ -168,7 +134,7 @@ class TestRacingAdopt:
         assert stats["misses"] == 1
 
     def test_racing_get_or_create_runs_factory_once(self):
-        lru = StripedLRU(256)
+        lru = LRUMap(256)
         built = []
 
         def factory():
@@ -182,7 +148,7 @@ class TestRacingAdopt:
         assert sum(1 for _, created in results if created) == 1
 
     def test_distinct_keys_race_cleanly(self):
-        lru = StripedLRU(256)
+        lru = LRUMap(256)
         _hammer(N_THREADS, lambda i: lru.adopt(f"key-{i}", i))
         assert len(lru) == N_THREADS
         stats = lru.stats()
@@ -192,8 +158,6 @@ class TestRacingAdopt:
 class TestValidation:
     def test_bad_bounds(self):
         with pytest.raises(ValueError):
-            StripedLRU(0)
+            LRUMap(0)
         with pytest.raises(ValueError):
-            StripedLRU(4, max_bytes=0)
-        with pytest.raises(ValueError):
-            StripedLRU(4, stripes=0)
+            LRUMap(4, max_bytes=0)

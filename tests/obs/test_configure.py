@@ -30,7 +30,7 @@ class TestConfigure:
         assert obs.metrics() is NULL_REGISTRY
 
     def test_explicit_registry_is_installed(self):
-        mine = MetricsRegistry(stripes=2)
+        mine = MetricsRegistry()
         reg, _ = obs.configure(registry=mine)
         assert reg is mine and obs.metrics() is mine
         obs.configure(metrics=False)

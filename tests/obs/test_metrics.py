@@ -1,4 +1,4 @@
-"""The metrics registry: instruments, label series, collectors, striping.
+"""The metrics registry: instruments, label series, collectors, threads.
 
 The registry must behave like one Prometheus client: ``(name, labels)``
 identifies a series, get-or-create returns the live instrument, recording
@@ -98,7 +98,7 @@ class TestRegistry:
         assert hist["counts"] == [1, 0] and hist["count"] == 1
 
     def test_concurrent_increments_are_exact(self):
-        reg = MetricsRegistry(stripes=4)
+        reg = MetricsRegistry()
         n_threads, per_thread = 8, 500
 
         def worker(i):
@@ -127,10 +127,6 @@ class TestRegistry:
         reg.clear()
         assert len(reg) == 0
         assert reg.snapshot() == {"counters": [], "gauges": [], "histograms": []}
-
-    def test_rejects_nonpositive_stripes(self):
-        with pytest.raises(ValueError):
-            MetricsRegistry(stripes=0)
 
 
 class TestCollectors:
