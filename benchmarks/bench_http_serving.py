@@ -16,6 +16,8 @@ Claims asserted:
   every worker count (seeded requests are deterministic; connection
   affinity keeps a session's repeats on one worker);
 * the shared ledger holds exactly one spend per client session;
+* the in-process baseline coalesces: each distinct query executes once and
+  its in-flight repeats share that execution;
 * the wire tax is bounded: 1-worker HTTP throughput is within
   ``MAX_HTTP_OVERHEAD``x of the in-process baseline (JSON + sockets +
   per-request HTTP framing may cost, but never an order of magnitude).
@@ -169,10 +171,12 @@ def test_http_serving_overhead_and_identity(tmp_path):
     service = _bench_service(None)
     requests = [_bench_request(i) for i in range(N_REQUESTS)]
     t0 = time.perf_counter()
-    base_responses, _stats = serve_many(service, requests)
+    base_responses, stats = serve_many(service, requests)
     base_elapsed = time.perf_counter() - t0
     base_rps = N_REQUESTS / base_elapsed
     assert all(r["ok"] for r in base_responses), base_responses
+    assert stats["executed"] == N_DISTINCT, stats
+    assert stats["coalesced"] == N_REQUESTS - N_DISTINCT, stats
     base_answers = [r["answers"] for r in base_responses]
 
     table = ResultTable(

@@ -26,19 +26,18 @@ Subcommands:
     dataset, print a worked set of requests/responses (policy spec, range
     batch, repeat-for-free, budget refusal), then — with ``--stdin`` —
     keep serving JSON-lines requests from stdin against the registered
-    ``"demo"`` dataset until EOF.  With ``--workers N`` it instead serves
-    a deterministic mixed request stream across ``N`` service processes
-    (session-sharded, budget truth in a shared SQLite ledger, each worker
-    fronted by the coalescing async tier) and prints throughput,
-    latency quantiles and the per-tenant ledger totals.
+    ``"demo"`` dataset until EOF.  For serving across processes use
+    ``serve --workers N``.
 
 ``serve [--host H] [--port P] [--workers N] [--max-inflight M]``
     Long-lived HTTP serving of the registered ``"demo"`` dataset:
     ``POST /v1/handle`` takes the service request JSON verbatim,
     ``GET /healthz`` reports readiness and ``GET /metrics`` exposes the
     Prometheus text format.  ``--workers N`` (N > 1) serves from N
-    processes behind one port with budget truth in a shared SQLite
-    ledger and ``/metrics`` merged across all workers.  SIGTERM/SIGINT
+    processes behind one port (:class:`repro.net.MultiprocHTTPServer`, the
+    only multi-process path) with budget truth in a shared SQLite ledger
+    and ``/metrics`` merged across all workers.  A request is served by
+    the worker that accepted its keep-alive connection.  SIGTERM/SIGINT
     drain gracefully: in-flight requests finish (up to
     ``--drain-deadline`` seconds), new ones answer 503.
 
@@ -154,132 +153,15 @@ def _demo_service(seed: int, ledger_path: str | None = None):
     return service, domain, db
 
 
-# -- the --workers demo stream -------------------------------------------------------
-# Module-level (not closures) so the sharded runner can pickle them under any
+# Module-level (not a closure) so ``serve --workers`` can pickle it under any
 # multiprocessing start method.
-
-_DEMO_REPEATS = 4  #: times each distinct query is asked (coalescing fodder)
-
-
 def _demo_worker_service(ledger_path: str, seed: int):
     service, _domain, _db = _demo_service(seed, ledger_path)
     return service
 
 
-def _demo_stream_request(i: int, *, epsilon: float, seed: int) -> dict:
-    """Deterministic request ``i`` of the mixed demo stream.
-
-    Query ``i // _DEMO_REPEATS`` asked for the ``i % _DEMO_REPEATS``-th
-    time by its own client session: every request is seeded, so repeats
-    are answer-identical — in flight they coalesce, at rest the session's
-    release cache answers them for free.
-    """
-    import numpy as np
-
-    from .core.domain import Domain
-    from .core.policy import Policy
-
-    domain = Domain.integers("salary_bucket", 100)
-    query = i // _DEMO_REPEATS
-    rng = np.random.default_rng(10_000 + seed + query)
-    lo = int(rng.integers(0, domain.size - 1))
-    hi = int(rng.integers(lo, domain.size))
-    return {
-        "policy": Policy.line(domain).to_spec(),
-        "epsilon": epsilon,
-        "dataset": {"name": "demo"},
-        "queries": {"kind": "range_batch", "los": [lo, 0], "his": [hi, domain.size - 1]},
-        "session": _demo_stream_session(i),
-        "budget": 100 * epsilon,
-        "seed": seed + query,
-    }
-
-
-def _demo_stream_session(i: int) -> str:
-    # one session per distinct query: its requests are all identical, so
-    # answers are order-independent (and identical for any worker count)
-    return f"client-{i // _DEMO_REPEATS}"
-
-
-def _cmd_serve_demo_workers(args: argparse.Namespace) -> int:
-    import functools
-    import os
-    import tempfile
-
-    from .api import ShardedServiceRunner, SQLiteLedgerStore
-
-    with tempfile.TemporaryDirectory(prefix="repro-ledger-") as tmp:
-        ledger_path = os.path.join(tmp, "ledger.sqlite")
-        runner = ShardedServiceRunner(
-            functools.partial(_demo_worker_service, ledger_path, args.seed),
-            workers=args.workers,
-            metrics=args.metrics,
-        )
-        n = args.requests
-        print(
-            f"serving {n} requests (one client per distinct query, every query "
-            f"asked {_DEMO_REPEATS}x) across {args.workers} worker process(es), "
-            f"shared ledger at {ledger_path}"
-        )
-        result = runner.run(
-            n,
-            functools.partial(_demo_stream_request, epsilon=args.epsilon, seed=args.seed),
-            shard_key=_demo_stream_session,
-        )
-        ok = sum(1 for r in result.responses if r.get("ok"))
-        stats = result.tier_stats
-        print(f"ok: {ok}/{n}")
-        print(
-            f"throughput: {result.requests_per_second:,.0f} req/s "
-            f"(wall {result.wall_elapsed * 1e3:.1f} ms)"
-        )
-        print(
-            f"latency: p50 {result.latency_quantile(0.5) * 1e3:.2f} ms, "
-            f"p99 {result.latency_quantile(0.99) * 1e3:.2f} ms"
-        )
-        print(
-            f"async tier: {stats.get('executed', 0)} executed, "
-            f"{stats.get('coalesced', 0)} coalesced"
-        )
-        ledger = SQLiteLedgerStore(ledger_path)
-        try:
-            if args.metrics:
-                from .api import parallel_aware_totals
-                from .core.domain import Domain
-                from .core.policy import Policy
-
-                policy = Policy.line(Domain.integers("salary_bucket", 100))
-                report = parallel_aware_totals(ledger, policy)
-                print(
-                    "ledger totals (epsilon spent per tenant session, "
-                    "sequential vs parallel-aware):"
-                )
-                for key in sorted(report):
-                    row = report[key]
-                    print(
-                        f"  {key}: sequential {row['sequential']:g}, "
-                        f"parallel-aware {row['parallel_aware']:g} "
-                        f"({row['scoped_entries']}/{row['entries']} scoped entries)"
-                    )
-            else:
-                print("ledger totals (epsilon spent per tenant session):")
-                for key in ledger.keys():
-                    print(f"  {key}: {ledger.total(key):g}")
-        finally:
-            ledger.close()
-        if args.metrics:
-            from . import obs
-
-            print("\n--- merged worker metrics (Prometheus text format)")
-            print(obs.render_prometheus(result.metrics), end="")
-    return 0
-
-
 def _cmd_serve_demo(args: argparse.Namespace) -> int:
     from .core.policy import Policy
-
-    if args.workers:
-        return _cmd_serve_demo_workers(args)
 
     if args.metrics:
         from . import obs
@@ -673,19 +555,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--stdin", action="store_true", help="then serve JSON-lines requests from stdin"
     )
     demo_p.add_argument(
-        "--workers", type=int, default=0,
-        help="serve a deterministic request stream across N session-sharded "
-        "service processes with a shared SQLite budget ledger",
-    )
-    demo_p.add_argument(
-        "--requests", type=int, default=64,
-        help="stream length for --workers (default 64)",
-    )
-    demo_p.add_argument(
         "--metrics", action="store_true",
         help="enable repro.obs: trace the planned request (meta.trace) and "
-        "print the metrics report — merged across workers with --workers, "
-        "plus the parallel-aware per-tenant ledger totals",
+        "print the service metrics report",
     )
     demo_p.set_defaults(func=_cmd_serve_demo)
 

@@ -20,9 +20,9 @@ queries answered under it — first-class *data*:
 * **serving tier** — :mod:`repro.api.lru` (the one-lock, exact-LRU map
   behind every service-level cache), :mod:`repro.api.ledger` (pluggable
   budget-ledger stores: in-memory default, SQLite for cross-process
-  truth), :mod:`repro.api.async_service` (asyncio façade with in-flight
-  coalescing) and :mod:`repro.api.workers`
-  (session-sharded multi-process runner).
+  truth) and :mod:`repro.api.async_service` (asyncio façade with in-flight
+  coalescing).  Serving across processes is
+  :class:`repro.net.MultiprocHTTPServer`'s job.
 
 End to end::
 
@@ -63,7 +63,6 @@ from .pool import EnginePool, PlanCache
 from .service import BlowfishService
 from .session import Session
 from .specs import SPEC_VERSION, SpecError, from_spec, spec_digest, to_spec
-from .workers import ShardedRunResult, ShardedServiceRunner
 
 __all__ = [
     "AsyncBlowfishService",
@@ -77,8 +76,6 @@ __all__ = [
     "SQLiteLedgerStore",
     "ServiceDraining",
     "Session",
-    "ShardedRunResult",
-    "ShardedServiceRunner",
     "SpecError",
     "SPEC_VERSION",
     "parallel_aware_totals",

@@ -253,7 +253,7 @@ def serve_many(
     """Run a request stream through a temporary async tier, synchronously.
 
     Returns ``(responses, stats)`` with responses in request order — the
-    convenience entry point for worker processes and benchmarks that want
+    convenience entry point for scripts and benchmarks that want
     coalescing without owning an event loop.
     """
 

@@ -66,8 +66,9 @@ class Session:
         the historical behaviour.  Releases are *not* shared through the
         ledger: a sibling session on another worker re-releases (and the
         shared ledger charges it), so cross-worker traffic for one session
-        should be routed to one worker — the sharding rule
-        :mod:`repro.api.workers` applies.
+        should be routed to one worker.  :class:`repro.net.MultiprocHTTPServer`
+        routes by keep-alive connection, so one connection's requests stay on
+        one worker; a session spread over connections can still pay twice.
 
     Thread safety
     -------------

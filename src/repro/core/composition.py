@@ -311,11 +311,14 @@ class InMemoryLedgerStore(LedgerStore):
         with self._lock:
             entries = self._entries.setdefault(key, [])
             new_total = sum(e.epsilon for e in entries) + epsilon
-            if budget is not None and new_total > budget + BUDGET_SLACK:
-                reg.counter("ledger_charge_denials_total", backend="memory").inc()
-                raise BudgetExceededError(epsilon, new_total, budget)
-            entries.append(LedgerEntry(label, epsilon, ids))
-            return new_total
+            denied = budget is not None and new_total > budget + BUDGET_SLACK
+            if not denied:
+                entries.append(LedgerEntry(label, epsilon, ids))
+        # the lock is a leaf: count and raise only after releasing it
+        if denied:
+            reg.counter("ledger_charge_denials_total", backend="memory").inc()
+            raise BudgetExceededError(epsilon, new_total, budget)
+        return new_total
 
     def total(self, key: str) -> float:
         with self._lock:

@@ -3,9 +3,18 @@
 One :class:`~repro.net.server.BlowfishHTTPServer` per process, all
 answering on the same address, budget truth shared through whatever
 :class:`~repro.api.ledger.LedgerStore` the ``service_factory`` attaches
-(typically :class:`~repro.api.ledger.SQLiteLedgerStore` on a common path —
-the same contract as :class:`~repro.api.workers.ShardedServiceRunner`,
-whose picklable zero-arg factories are reused verbatim here).
+(typically :class:`~repro.api.ledger.SQLiteLedgerStore` on a common path).
+This is the one way to run the service across processes; ``python -m repro
+serve --workers N`` runs it.
+
+Placement
+---------
+A request is served by whichever worker accepted its connection, so every
+request on one keep-alive connection lands on one worker and a repeat there
+is free post-processing of the held release.  The shared ledger's
+compare-and-spend keeps the budget whichever worker charges, but releases
+are held per worker: a session spread over several connections can land on
+two workers and pay for the same release twice.
 
 Socket scheme
 -------------
@@ -195,10 +204,10 @@ class MultiprocHTTPServer:
     Parameters
     ----------
     service_factory:
-        Zero-arg picklable callable building each worker's service —
+        Zero-arg callable building each worker's service —
         registering datasets and attaching the *shared* ledger store
-        happens in the worker, exactly as with
-        :class:`~repro.api.workers.ShardedServiceRunner`.
+        happens in the worker.  Under ``"fork"`` closures are fine; under
+        ``"spawn"`` use module-level functions or :func:`functools.partial`.
     workers:
         Number of serving processes.
     host / port:

@@ -281,8 +281,9 @@ class MetricsRegistry:
     def snapshot(self) -> dict:
         """JSON-ready report of every instrument plus collector output.
 
-        The shape the exporters (:mod:`repro.obs.export`) consume and the
-        sharded runner merges across workers::
+        The shape the exporters (:mod:`repro.obs.export`) consume and
+        :class:`repro.net.MultiprocHTTPServer` merges across workers
+        (:func:`repro.obs.merge_snapshots`)::
 
             {"counters": [sample...], "gauges": [sample...],
              "histograms": [sample...]}

@@ -10,25 +10,15 @@ The acceptance claims of the ``repro.obs`` subsystem:
 * per-dataset calibrated fits are auto-selected at registration and passed
   to planning per request (recorded on the plan span), so one dataset's fit
   never leaks into another's plans;
-* a multi-worker sharded run merges per-worker snapshots into one report
-  whose counters are exactly the per-worker sums.
-
-Factories are module-level so they pickle under any start method.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 import pytest
 
 from repro import Database, Domain, Policy, obs
-from repro.api import (
-    BlowfishService,
-    ShardedServiceRunner,
-    SQLiteLedgerStore,
-)
+from repro.api import BlowfishService, SQLiteLedgerStore
 
 EPSILON = 0.5
 
@@ -236,103 +226,3 @@ class TestPerDatasetCalibration:
         assert first["meta"]["plan_cache"] == "miss"
         # same workload, different calibrated fit: must not hit t3's plan
         assert second["meta"]["plan_cache"] == "miss"
-
-
-# -- sharded runner: merged per-worker metrics --------------------------------------
-
-REPEATS = 2
-N_REQUESTS = 8
-
-
-def _workers_domain():
-    return Domain.integers("v", 30)
-
-
-def _workers_service(ledger_path):
-    domain = _workers_domain()
-    db = Database.from_indices(domain, np.arange(200) % domain.size)
-    service = BlowfishService(ledger_store=SQLiteLedgerStore(ledger_path))
-    service.register_dataset("data", db)
-    return service
-
-
-def _workers_session(i):
-    return f"client-{i // REPEATS}"
-
-
-def _workers_request(i):
-    domain = _workers_domain()
-    query = i // REPEATS
-    return {
-        "policy": Policy.line(domain).to_spec(),
-        "epsilon": EPSILON,
-        "dataset": {"name": "data"},
-        "queries": [{"kind": "range", "lo": query, "hi": 20 + query}],
-        "session": _workers_session(i),
-        "budget": 5.0,
-        "seed": 50 + query,
-    }
-
-
-class TestMergedWorkerMetrics:
-    def _run(self, tmp_path, workers):
-        runner = ShardedServiceRunner(
-            functools.partial(_workers_service, str(tmp_path / "ledger.sqlite")),
-            workers=workers,
-            metrics=True,
-        )
-        return runner.run(N_REQUESTS, _workers_request, shard_key=_workers_session)
-
-    @staticmethod
-    def _value(snapshot, kind, name, **labels):
-        total = 0.0
-        for sample in snapshot.get(kind, ()):
-            if sample["name"] == name and all(
-                sample["labels"].get(k) == v for k, v in labels.items()
-            ):
-                total += sample["value"]
-        return total
-
-    def test_merged_counters_are_exact_per_worker_sums(self, tmp_path):
-        result = self._run(tmp_path, 2)
-        assert all(r["ok"] for r in result.responses)
-        assert len(result.worker_metrics) == 2
-        merged = result.metrics
-
-        # every request entered a worker's async tier exactly once
-        assert (
-            self._value(merged, "counters", "async_requests_total", outcome="received")
-            == N_REQUESTS
-        )
-        # service.handle ran once per non-coalesced request, and the merged
-        # series is exactly the sum of the per-worker series (the pinned
-        # merge contract)
-        executed = result.tier_stats["executed"]
-        handled = self._value(merged, "counters", "requests_total", op="answer")
-        assert handled == executed
-        assert handled == sum(
-            self._value(snap, "counters", "requests_total", op="answer")
-            for snap in result.worker_metrics
-        )
-        # latency histogram merged too: one observation per handled request
-        seconds = [
-            h
-            for h in merged["histograms"]
-            if h["name"] == "request_seconds" and h["labels"].get("op") == "answer"
-        ]
-        assert len(seconds) == 1
-        assert seconds[0]["count"] == executed
-        assert sum(seconds[0]["counts"]) == executed
-
-    def test_ledger_gauges_merge_by_max_not_sum(self, tmp_path):
-        result = self._run(tmp_path, 2)
-        gauges = [
-            g
-            for g in result.metrics["gauges"]
-            if g["name"] == "ledger_spent_epsilon"
-        ]
-        # one gauge per client key; every client paid for exactly one
-        # release, and max-merging must not double it across workers
-        assert len(gauges) == N_REQUESTS // REPEATS
-        for gauge in gauges:
-            assert gauge["value"] == pytest.approx(EPSILON)

@@ -8,6 +8,12 @@ import pytest
 from repro import Attribute, Database, Domain, Policy
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "slow: a long-running test (deselect with -m 'not slow')"
+    )
+
+
 @pytest.fixture(autouse=True)
 def _reset_obs():
     """Observability state is process-global; never let one test's

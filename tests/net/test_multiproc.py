@@ -95,12 +95,15 @@ def test_one_ledger_spend_per_client_across_workers(tmp_path):
         direct = reference.handle(seeded_request(c))
         for response in responses:
             assert response["answers"] == direct["answers"]
+            # a fresh release spends 0.5, a repeat reuses it for free
+            assert response["meta"]["epsilon_spent"] in {0.0, 0.5}
     ledger = SQLiteLedgerStore(ledger_path)
     try:
         keys = ledger.keys()
         assert len(keys) == clients  # one session per client
         for key in keys:
             assert ledger.total(key) == pytest.approx(0.5)  # exactly one spend
+            assert len(ledger.entries(key)) == 1
     finally:
         ledger.close()
 
@@ -138,6 +141,28 @@ def test_metrics_scrape_merges_all_workers(tmp_path):
                 break
             time.sleep(0.2)
         assert seen == total_requests
+
+
+def test_ledger_gauges_merge_by_max_not_sum(tmp_path):
+    """Every worker reports every key of the shared ledger; the merged
+    scrape must show each client's one spend once, not once per worker."""
+    ledger_path = str(tmp_path / "ledger.sqlite")
+    clients = 4
+    gauge = re.compile(r'^repro_ledger_spent_epsilon\{key="([^"]*)"\} (\S+)$', re.M)
+    with MultiprocHTTPServer(
+        partial(_worker_service, ledger_path), workers=2, metrics_flush=0.1
+    ) as server:
+        for c in range(clients):
+            with BlowfishClient(server.host, server.port) as client:
+                assert client.handle(seeded_request(c))["ok"]
+        # every spend is in the ledger now; after a few 0.1s flushes both
+        # workers' spooled snapshots carry every key at 0.5
+        time.sleep(1.0)
+        with BlowfishClient(server.host, server.port) as client:
+            text = client.metrics_text()
+    spent = {key: float(value) for key, value in gauge.findall(text)}
+    assert len(spent) == clients, text
+    assert all(value == 0.5 for value in spent.values()), spent
 
 
 def test_sigterm_drains_inflight_to_completion(tmp_path):

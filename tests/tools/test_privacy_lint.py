@@ -127,7 +127,7 @@ def test_lock_under_leaf_lock_is_caught(tmp_path):
         "repro/api/rogue_locks.py",
         """
         def bad(self, key):
-            with self._stripes.lock_for(key):
+            with self._oversize_lock:
                 with self._lock:
                     pass
         """,
@@ -143,7 +143,7 @@ def test_datasets_lock_is_a_leaf(tmp_path):
         """
         def bad(self, key):
             with self._datasets_lock:
-                with self._stripes.lock_for(key):
+                with self._oversize_lock:
                     pass
         """,
     )
@@ -157,7 +157,7 @@ def test_sequential_leaf_locks_are_fine(tmp_path):
         """
         def ok(self, keys):
             for key in keys:
-                with self._stripes.lock_for(key):
+                with self._oversize_lock:
                     pass
             with self._datasets_lock:
                 pass
@@ -174,11 +174,34 @@ def test_lock_then_leaf_is_fine(tmp_path):
         """
         def ok(self, key):
             with self._lock:
-                with self._stripes.lock_for(key):
+                with self._oversize_lock:
                     pass
         """,
     )
     assert privacy_lint.lint_paths([path]) == []
+
+
+def test_self_lock_is_a_leaf_only_in_its_classes(tmp_path):
+    path = _write(
+        tmp_path,
+        "repro/obs/class_locks.py",
+        """
+        class MetricsRegistry:
+            def bad(self):
+                with self._lock:
+                    with self._collectors_lock:
+                        pass
+
+        class LRUMap:
+            def ok(self):
+                with self._lock:
+                    with self._collectors_lock:
+                        pass
+        """,
+    )
+    findings = privacy_lint.lint_paths([path])
+    assert _codes(findings) == ["PL003"]
+    assert "MetricsRegistry._lock" in findings[0].message
 
 
 def test_core_importing_api_is_caught(tmp_path):

@@ -26,9 +26,14 @@ Rules
     :mod:`repro.core.rng` is the seam and is exempt.
 
 ``PL003`` lock-order violations
-    Stripe locks (``LockStripes.lock_for``) and the service's registry
-    locks (``_datasets_lock`` et al.) are *leaf* locks: nothing may be
-    acquired while one is held.  Violations deadlock under contention.
+    *Leaf* locks are innermost: nothing may be acquired while one is held.
+    Violations deadlock under contention.  The leaves are the service's
+    registry locks (``_datasets_lock`` et al., by name anywhere) and
+    ``self._lock`` inside :class:`~repro.obs.MetricsRegistry` and
+    :class:`~repro.core.composition.InMemoryLedgerStore`, whose critical
+    sections run only dict work and an instrument constructor.
+    ``LRUMap._lock`` stays an ordinary lock: ``get_or_create`` runs the
+    caller's factory (a whole session build) under it.
 
 ``PL004`` layering violations
     The algebra layers (``core``/``engine``/``plan``/``stream``/
@@ -89,6 +94,12 @@ RNG_SEED_PLUMBING = frozenset(
 #: Lock attribute names that are leaves of the lock hierarchy: nothing may
 #: be acquired while one is held.
 LEAF_LOCK_NAMES = frozenset({"_datasets_lock", "_collectors_lock", "_oversize_lock"})
+
+#: ``self.<attr>`` locks that are leaves only inside the named class.
+LEAF_LOCKS_BY_CLASS: dict[str, frozenset] = {
+    "MetricsRegistry": frozenset({"_lock"}),
+    "InMemoryLedgerStore": frozenset({"_lock"}),
+}
 
 #: Package segments (under repro/) that must never import repro.api.
 API_FORBIDDEN_LAYERS = frozenset(
@@ -270,19 +281,19 @@ def _check_rng_seam(tree: ast.AST, path: str, findings: list[Finding]) -> None:
 # -- PL003: lock ordering --------------------------------------------------------------
 
 
-def _lock_kind(item: ast.withitem) -> tuple[str, str] | None:
-    """Classify a with-item: ("leaf"|"lock", description) or None."""
+def _lock_kind(item: ast.withitem, cls: str | None) -> tuple[str, str] | None:
+    """Classify a with-item inside class ``cls``: ("leaf"|"lock", description)
+    or None."""
     expr = item.context_expr
-    # LockStripes.lock_for(...) — a stripe lock, always a leaf
-    if (
-        isinstance(expr, ast.Call)
-        and isinstance(expr.func, ast.Attribute)
-        and expr.func.attr == "lock_for"
-    ):
-        return ("leaf", _dotted(expr.func) or "lock_for(...)")
     name = None
     if isinstance(expr, ast.Attribute):
         name = expr.attr
+        if (
+            isinstance(expr.value, ast.Name)
+            and expr.value.id == "self"
+            and name in LEAF_LOCKS_BY_CLASS.get(cls, ())
+        ):
+            return ("leaf", f"{cls}.{name}")
     elif isinstance(expr, ast.Name):
         name = expr.id
     if name is None:
@@ -295,17 +306,20 @@ def _lock_kind(item: ast.withitem) -> tuple[str, str] | None:
 
 
 def _check_lock_order(tree: ast.AST, path: str, findings: list[Finding]) -> None:
-    def visit(node: ast.AST, held_leaf: str | None) -> None:
+    def visit(node: ast.AST, held_leaf: str | None, cls: str | None) -> None:
         for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, None, child.name)
+                continue
             # a nested def is not executed under the outer with; skip it and
             # restart analysis inside it with no locks held
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                visit(child, None)
+                visit(child, None, cls)
                 continue
             if isinstance(child, (ast.With, ast.AsyncWith)):
                 leaf_here = held_leaf
                 for item in child.items:
-                    kind = _lock_kind(item)
+                    kind = _lock_kind(item, cls)
                     if kind is None:
                         continue
                     if held_leaf is not None:
@@ -321,11 +335,11 @@ def _check_lock_order(tree: ast.AST, path: str, findings: list[Finding]) -> None
                         )
                     if kind[0] == "leaf":
                         leaf_here = kind[1]
-                visit(child, leaf_here)
+                visit(child, leaf_here, cls)
                 continue
-            visit(child, held_leaf)
+            visit(child, held_leaf, cls)
 
-    visit(tree, None)
+    visit(tree, None, None)
 
 
 # -- PL004 / PL005: layering -----------------------------------------------------------
