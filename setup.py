@@ -1,9 +1,11 @@
 """Legacy setup shim.
 
-The execution environment has no ``wheel`` package and no network, so PEP
-517 editable installs (which shell out to ``bdist_wheel``) fail.  This shim
-lets ``pip install -e . --no-use-pep517 --no-build-isolation`` take the
-classic ``setup.py develop`` path.  All metadata lives in ``pyproject.toml``.
+All metadata lives in ``pyproject.toml``.  A PEP 660 editable install
+(``pip install -e .``) builds a wheel, so it needs the ``wheel`` package
+(or setuptools >= 70.1).  Where neither is at hand and nothing can be
+downloaded, this shim keeps the classic path open:
+``python setup.py develop --no-deps`` installs the same metadata without
+building a wheel.
 """
 
 from setuptools import setup

@@ -23,8 +23,8 @@ constraints); larger instances should use the analytic theorems in
 from __future__ import annotations
 
 from collections.abc import Sequence
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
 
 from ..core.graphs import (
@@ -35,6 +35,9 @@ from ..core.graphs import (
 )
 from ..core.queries import CountQuery
 from .count import MAX_EDGE_SCAN, is_sparse, support_matrix
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["V_PLUS", "V_MINUS", "PolicyGraph"]
 
@@ -78,6 +81,8 @@ class PolicyGraph:
 
     # -- construction ---------------------------------------------------------------
     def _build(self) -> nx.DiGraph:
+        import networkx as nx
+
         g = nx.DiGraph()
         g.add_nodes_from(range(len(self.queries)))
         g.add_node(V_PLUS)

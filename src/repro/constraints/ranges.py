@@ -12,12 +12,15 @@ no rectangle is a point query.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
 
 from ..core.domain import Domain
 from ..core.queries import CountQuery
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "Rectangle",
@@ -116,6 +119,8 @@ def rectangle_distance(a: Rectangle, b: Rectangle, p: float = 1.0) -> float:
 
 def rectangle_graph(rects: Sequence[Rectangle], theta: float, p: float = 1.0) -> nx.Graph:
     """``G_R(Q)``: one vertex per rectangle, edges within distance theta."""
+    import networkx as nx
+
     g = nx.Graph()
     g.add_nodes_from(range(len(rects)))
     for i in range(len(rects)):
@@ -127,6 +132,8 @@ def rectangle_graph(rects: Sequence[Rectangle], theta: float, p: float = 1.0) ->
 
 def max_component_size(g: nx.Graph) -> int:
     """``maxcomp(Q)``: vertices in the largest connected component."""
+    import networkx as nx
+
     if g.number_of_nodes() == 0:
         return 0
     return max(len(c) for c in nx.connected_components(g))

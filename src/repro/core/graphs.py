@@ -25,13 +25,16 @@ import hashlib
 import math
 from abc import ABC, abstractmethod
 from collections.abc import Iterator
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
 
 from .domain import Domain
 from .queries import Partition, _int_array
 from .specbase import SPEC_VERSION, SpecError, check_version, spec_get
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "DiscriminativeGraph",
@@ -339,6 +342,8 @@ class DiscriminativeGraph(ABC):
     # -- export ---------------------------------------------------------------------
     def to_networkx(self) -> nx.Graph:
         """Materialize as a networkx graph (small domains only)."""
+        import networkx as nx
+
         g = nx.Graph()
         g.add_nodes_from(range(self.domain.size))
         g.add_edges_from(self.edges())
@@ -816,6 +821,8 @@ class ExplicitGraph(DiscriminativeGraph):
     spec_kind = "graph/explicit"
 
     def __init__(self, domain: Domain, edges: Iterator[tuple[int, int]] | nx.Graph):
+        import networkx as nx
+
         super().__init__(domain)
         g = nx.Graph()
         g.add_nodes_from(range(domain.size))
@@ -877,6 +884,8 @@ class ExplicitGraph(DiscriminativeGraph):
     def graph_distance(self, i: int, j: int) -> float:
         if i == j:
             return 0.0
+        import networkx as nx
+
         try:
             return float(nx.shortest_path_length(self._g, i, j))
         except nx.NetworkXNoPath:

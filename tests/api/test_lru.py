@@ -41,7 +41,7 @@ def _hammer(n_threads, worker):
     return results
 
 
-class TestSingleStripeLRU:
+class TestLRUMapOrder:
     """Eviction order, peeks, byte bounds and counters of one map."""
 
     def test_exact_lru_order_and_stats(self):
@@ -87,7 +87,9 @@ class TestSingleStripeLRU:
         assert lru.stats()["hits"] == 1 and lru.stats()["misses"] == 1
 
 
-class TestStripedBounds:
+class TestLRUMapBounds:
+    """The entry bound holds exactly and values() snapshots every entry."""
+
     def test_aggregate_size_never_exceeds_maxsize(self):
         lru = LRUMap(64)
         for i in range(64):

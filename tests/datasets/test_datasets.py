@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.database import Database
 from repro.datasets import (
     ADULT_N,
     CAPITAL_LOSS_DOMAIN_SIZE,
@@ -23,6 +24,9 @@ from repro.datasets import (
     twitter_latitude_domain,
     unit_cube_domain,
 )
+from repro.datasets.base import clipped_gaussian_mixture
+from repro.datasets.twitter import _BACKGROUND_WEIGHT, _CITIES_KM
+from repro.stream import twitter_replay
 
 
 class TestHelpers:
@@ -85,6 +89,67 @@ class TestTwitter:
         d = twitter_latitude_domain()
         assert d.size == 400
         assert d.value_gap(0, 1) == CELL_KM
+
+
+def _reference_twitter_indices(n: int, rng: np.random.Generator) -> np.ndarray:
+    """The generator as first written: shuffle the 2-D points row by row in
+    place, then discretize.  Kept to pin the faster permutation form."""
+    lat_max = (GRID_SHAPE[0] - 1) * CELL_KM
+    lon_max = (GRID_SHAPE[1] - 1) * CELL_KM
+    n_bg = int(round(n * _BACKGROUND_WEIGHT))
+    n_city = n - n_bg
+    means = np.array([[c[0], c[1]] for c in _CITIES_KM])
+    weights = np.array([c[2] for c in _CITIES_KM])
+    sigmas = np.array([[c[3], c[3]] for c in _CITIES_KM])
+    pts_city = clipped_gaussian_mixture(
+        rng, n_city, weights, means, sigmas,
+        lows=np.array([0.0, 0.0]), highs=np.array([lat_max, lon_max]),
+    )
+    pts_bg = np.column_stack(
+        [rng.uniform(0.0, lat_max, n_bg), rng.uniform(0.0, lon_max, n_bg)]
+    )
+    points = np.vstack([pts_city, pts_bg])
+    rng.shuffle(points, axis=0)
+    return database_from_points(
+        twitter_domain(), points, spacings=np.array([CELL_KM, CELL_KM]),
+        origins=np.zeros(2),
+    ).indices
+
+
+class TestTwitterMatchesRowShuffle:
+    """The generator permutes indices after discretizing instead of shuffling
+    the points first; every database and the caller's rng stream must be
+    bitwise what the row shuffle gave."""
+
+    CASES = [(seed, n) for seed in (0, 1, 7, 12345) for n in (1, 2, 1000)] + [
+        (0, TWITTER_N)
+    ]
+
+    @pytest.mark.parametrize("seed,n", CASES)
+    def test_twitter_dataset(self, seed, n):
+        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        db = twitter_dataset(n, rng=ours)
+        assert np.array_equal(db.indices, _reference_twitter_indices(n, ref))
+        assert ours.random() == ref.random()
+
+    @pytest.mark.parametrize("seed,n", CASES)
+    def test_twitter_latitude_dataset(self, seed, n):
+        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        db = twitter_latitude_dataset(n, rng=ours)
+        expected = _reference_twitter_indices(n, ref) // GRID_SHAPE[1]
+        assert db == Database(twitter_latitude_domain(), expected)
+        assert ours.random() == ref.random()
+
+    @pytest.mark.parametrize("seed,n", [(0, 1), (7, 1000), (12345, 4000)])
+    def test_twitter_replay(self, seed, n):
+        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        _, batches = twitter_replay(ticks=4, n=n, rng=ours)
+        lat = _reference_twitter_indices(n, np.random.default_rng(0)) // GRID_SHAPE[1]
+        expected = np.array_split(lat[ref.permutation(n)], 4)
+        assert len(batches) == len(expected)
+        for got, want in zip(batches, expected):
+            assert np.array_equal(got, want)
+        assert ours.random() == ref.random()
 
 
 class TestSkin:
